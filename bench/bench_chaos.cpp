@@ -8,7 +8,7 @@
 // drawn from a site catalog (queue admission, registry eviction and
 // allocation, solver allocation, spurious budget expiry, worker throws and
 // stalls, short reads/writes, torn frames), armed process-wide, and a
-// client/server session is run over the byte-level in-memory duplex — the
+// client/server session is run over the byte duplex (a socketpair) — the
 // retrying svc::Client on one side, a full Server on the other. The
 // invariant asserted for every schedule is the service's headline
 // guarantee: ZERO LOST RESPONSES — every submitted job reaches exactly one
@@ -147,7 +147,7 @@ std::string draw_item(Rng& rng, bool timing_ok, bool tear_ok,
       "svc.server.execute.throw=nth:" + num(1, 4),
   };
   if (byte_io_ok) {
-    pool.push_back("svc.proto.read.short=always@" + num(1, 7));
+    pool.push_back("net.read.short=always@" + num(1, 7));
     pool.push_back("svc.proto.write.short=always@" + num(1, 7));
   }
   if (timing_ok) {

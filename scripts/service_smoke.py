@@ -26,7 +26,9 @@ port (parsed from its stderr banner) and driven over real sockets: two
 concurrent clients with deliberately colliding request ids, per-connection
 response routing, an over-the-cap connection answered `overloaded`, an
 abrupt client disconnect that must cancel only that client's jobs, and a
-TCP shutdown drain.
+TCP shutdown drain. A second daemon then takes 16 connections that each
+send only a length header just under the 64 MiB cap: its VmRSS must grow
+by less than 32 MiB, and it must still answer and shut down cleanly.
 
 With --tcp-cluster (two binaries: cwatpg_cluster then cwatpg_serve) the
 workers are REMOTE: two `cwatpg_serve --listen` daemons on loopback, a
@@ -213,7 +215,13 @@ def chaos_kill(binary):
     # A status round-trip after the submit proves the reader thread has
     # processed (and therefore journaled) the admission: frames are
     # handled in order, and `accepted` is fsync'd before the queue push.
-    r = c.call("status")
+    # The dispatcher starts the (wedged) job on its own thread, so poll
+    # until it is running: the kill must land mid-job.
+    for _ in range(500):
+        r = c.call("status")
+        if r["result"]["in_flight"] >= 1:
+            break
+        time.sleep(0.01)
     check(r["result"]["in_flight"] >= 1, "boot 1: job is in flight")
     check(r["result"]["journal"]["path"] == journal,
           "boot 1: status reports the journal path")
@@ -436,7 +444,55 @@ def tcp_smoke(binary):
     check(b.rout.read(1) == b"", "tcp: stream closed after shutdown")
     b.close()
     check(proc.wait(timeout=30) == 0, "tcp: daemon exited 0")
+
+    hostile_header_drill(binary)
     print("\ntcp smoke: all checks passed")
+
+
+def vm_rss_kib(pid):
+    with open(f"/proc/{pid}/status") as f:
+        for line in f:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    raise SystemExit(f"FAIL: no VmRSS in /proc/{pid}/status")
+
+
+def hostile_header_drill(binary):
+    """Connections that send nothing but a length header just under the
+    64 MiB frame cap must not make the daemon hold the payloads they
+    promise: 16 of them would otherwise cost about 1 GiB."""
+    proc = subprocess.Popen(
+        [binary, "--threads=1", "--listen=127.0.0.1:0"],
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE)
+    port = wait_for_listen(proc)
+    try:
+        rss_before = vm_rss_kib(proc.pid)
+        hostile = [socket.create_connection(("127.0.0.1", port), timeout=60)
+                   for _ in range(16)]
+        for s in hostile:
+            s.sendall(b"%d\n" % (64 * 1024 * 1024 - 1))
+        # The event loop serves ready connections in accept order, so once
+        # a connection opened after the 16 is answered, every header was
+        # read.
+        fresh = TcpClient(port)
+        r = fresh.call("status")
+        grown_mib = (vm_rss_kib(proc.pid) - rss_before) / 1024
+        check(grown_mib < 32,
+              f"tcp: 16 hostile headers grew VmRSS by {grown_mib:.1f} MiB")
+        check(r["ok"], "tcp: a fresh connection still answers status")
+        for s in hostile:
+            s.close()
+        r = fresh.call("shutdown")
+        check(r["ok"] and r["result"]["drained"],
+              "tcp: hostile-header daemon drains")
+        fresh.close()
+        check(proc.wait(timeout=30) == 0,
+              "tcp: hostile-header daemon exited 0")
+    finally:
+        if proc.poll() is None:  # a failed check: don't leave it running
+            proc.kill()
+            proc.wait()
 
 
 def tcp_cluster_smoke(cluster_binary, serve_binary):

@@ -90,17 +90,14 @@ class NetServer::ConnTransport final : public svc::Transport {
   bool read(obs::Json&) override { return false; }
 
   void write(const obs::Json& frame) override {
-    const std::string payload = frame.dump();
-    const std::string header = std::to_string(payload.size()) + "\n";
+    const std::string bytes = svc::encode_frame(frame);
     {
       std::lock_guard<std::mutex> lock(outbox_->mutex);
       if (outbox_->closed) return;  // dead connection: drop, per contract
-      if (outbox_->buf.size() + header.size() + payload.size() >
-          outbox_->limit) {
+      if (outbox_->buf.size() + bytes.size() > outbox_->limit) {
         outbox_->overflowed = true;
       } else {
-        outbox_->buf += header;
-        outbox_->buf += payload;
+        outbox_->buf += bytes;
         if (outbox_->high_water)
           outbox_->high_water->max_in(
               static_cast<double>(outbox_->buf.size()));
@@ -125,11 +122,7 @@ struct NetServer::Conn {
   std::shared_ptr<Outbox> outbox;
   std::shared_ptr<ConnTransport> transport;
 
-  // Inbound frame reassembly (the loop is the only reader).
-  svc::FrameLengthParser header;
-  std::string payload;
-  std::size_t payload_filled = 0;
-  bool in_payload = false;
+  svc::FrameDecoder decoder;  ///< inbound frames (the loop is the only reader)
 
   bool torn = false;  ///< framing lost: stop reading, flush the error, close
   bool close_after_flush = false;
@@ -290,55 +283,32 @@ void NetServer::read_ready(Conn& conn) {
   server_.metrics().counter("net.bytes.in").add(static_cast<std::uint64_t>(n));
   conn.last_activity = Clock::now();
 
-  // Reassemble frames with the shared header parser. A framing violation
-  // poisons the rest of the stream, so it is answered once (`bad_request`,
-  // id 0) and the connection is torn down after the error flushes.
-  std::size_t i = 0;
-  while (i < static_cast<std::size_t>(n)) {
-    try {
-      if (!conn.in_payload) {
-        if (conn.header.feed(buf[i++])) {
-          conn.in_payload = true;
-          conn.payload.assign(conn.header.length(), '\0');
-          conn.payload_filled = 0;
-        }
-        if (!conn.in_payload || !conn.payload.empty()) continue;
-      } else if (conn.payload_filled < conn.payload.size()) {
-        const std::size_t take =
-            std::min(conn.payload.size() - conn.payload_filled,
-                     static_cast<std::size_t>(n) - i);
-        std::memcpy(conn.payload.data() + conn.payload_filled, buf + i, take);
-        conn.payload_filled += take;
-        i += take;
-        if (conn.payload_filled < conn.payload.size()) continue;
+  // A framing violation poisons the rest of the stream, so it is answered
+  // once (`bad_request`, id 0) and the connection is torn down after the
+  // error flushes.
+  conn.decoder.feed(buf, static_cast<std::size_t>(n));
+  try {
+    obs::Json frame;
+    while (conn.decoder.next(frame)) {
+      if (conn.session == 0) continue;
+      if (const auto shutdown_id =
+              server_.handle_session_frame(conn.session, frame)) {
+        shutdown_reqs_.emplace_back(conn.session, *shutdown_id);
+        begin_drain();
       }
-      // One whole frame.
-      const obs::Json frame = svc::parse_frame_payload(conn.payload);
-      conn.header.reset();
-      conn.in_payload = false;
-      conn.payload.clear();
-      if (conn.session != 0) {
-        if (const auto shutdown_id =
-                server_.handle_session_frame(conn.session, frame)) {
-          shutdown_reqs_.emplace_back(conn.session, *shutdown_id);
-          begin_drain();
-        }
-      }
-    } catch (const svc::ProtocolError& e) {
-      conn.transport->write(
-          svc::make_error(0, svc::ErrorCode::kBadRequest, e.what()));
-      if (conn.session != 0) {
-        server_.close_session(conn.session);
-        conn.session = 0;
-      }
-      conn.torn = true;
-      conn.close_after_flush = true;
-      conn.flush_deadline =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(
-                                 kFlushGraceSeconds));
-      return;
     }
+  } catch (const svc::ProtocolError& e) {
+    conn.transport->write(
+        svc::make_error(0, svc::ErrorCode::kBadRequest, e.what()));
+    if (conn.session != 0) {
+      server_.close_session(conn.session);
+      conn.session = 0;
+    }
+    conn.torn = true;
+    conn.close_after_flush = true;
+    conn.flush_deadline =
+        Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double>(kFlushGraceSeconds));
   }
 }
 

@@ -2,7 +2,9 @@
 // client connections onto ONE svc::Server.
 //
 // One thread runs the event loop: accept, per-connection frame
-// reassembly (the shared FrameLengthParser), and outbox flushing. Job
+// reassembly (one svc::FrameDecoder per connection — the decoder every
+// other cwatpg.rpc/1 reader uses), and outbox flushing; responses are
+// queued as svc::encode_frame bytes. Job
 // execution stays where it always was — the Server's dispatcher and
 // thread pool — and worker threads deliver responses by appending
 // serialized frames to the owning connection's bounded outbox and waking
@@ -33,8 +35,9 @@
 // Observability: net.* metrics land in the svc::Server's registry
 // (conns accepted/active/rejected/closed, bytes in/out, outbox
 // high-water), so one `status` frame reports the whole stack. Failpoint
-// sites: net.accept.fail, net.read.short, net.write.stall,
-// net.conn.reset.
+// sites: net.accept.fail, net.read.short (caps each recv, as on every fd
+// transport), net.write.stall, net.conn.reset, plus the decoder's
+// per-frame svc.proto.read.* sites.
 //
 // Thread-safe: construct, run() and port() from one owner thread;
 // stop() may be called from any thread or a signal handler.

@@ -14,9 +14,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "svc/proto.hpp"
-#include "util/failpoint.hpp"
-
 namespace cwatpg::netio {
 
 namespace {
@@ -142,130 +139,6 @@ int tcp_connect_retry(const std::string& host, std::uint16_t port,
         std::to_string(std::max<std::size_t>(1, retry.max_attempts)) +
         " attempts failed; last: " + last_error);
   return fd;
-}
-
-SocketTransport::SocketTransport(int fd) : fd_(fd) {
-  const int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-}
-
-SocketTransport::~SocketTransport() {
-  close();
-  if (fd_ >= 0) ::close(fd_);
-}
-
-bool SocketTransport::set_read_timeout(double seconds) {
-  read_timeout_seconds_ = seconds > 0 ? seconds : 0.0;
-  return true;
-}
-
-std::size_t SocketTransport::recv_some(char* dst, std::size_t max) {
-  // Failpoint: cap one pass at @K bytes so every reassembly path (header
-  // split across packets, payload trickling in) is exercised on demand.
-  if (const int k = CWATPG_FAILPOINT_ARG("net.read.short"); k >= 0)
-    max = std::min<std::size_t>(max,
-                                static_cast<std::size_t>(std::max(1, k)));
-  if (CWATPG_FAILPOINT("net.conn.reset"))
-    throw svc::ProtocolError("connection reset by peer (injected: "
-                             "net.conn.reset)");
-  for (;;) {
-    if (read_timeout_seconds_ > 0) {
-      ::pollfd pfd{fd_, POLLIN, 0};
-      const int timeout_ms = static_cast<int>(
-          std::max(1.0, read_timeout_seconds_ * 1000.0));
-      const int pr = ::poll(&pfd, 1, timeout_ms);
-      if (pr == 0)
-        throw svc::ProtocolError(
-            "read timed out after " + std::to_string(read_timeout_seconds_) +
-            "s");
-      if (pr < 0) {
-        if (errno == EINTR) continue;
-        throw svc::ProtocolError(std::string("poll failed: ") +
-                                 std::strerror(errno));
-      }
-    }
-    const ssize_t n = ::recv(fd_, dst, max, 0);
-    if (n > 0) return static_cast<std::size_t>(n);
-    if (n == 0) return 0;  // orderly FIN
-    if (errno == EINTR) continue;
-    throw svc::ProtocolError(std::string("recv failed: ") +
-                             std::strerror(errno));
-  }
-}
-
-bool SocketTransport::read(obs::Json& frame) {
-  if (fd_ < 0) return false;
-  // One fixed-size refill buffer feeds the incremental header parser and
-  // the payload in turn; leftover bytes (the next frame's prefix) stay in
-  // inbuf_ between calls. read() is single-consumer, so no lock.
-  svc::FrameLengthParser header;
-  std::string payload;
-  std::size_t payload_filled = 0;
-  bool in_payload = false;
-  for (;;) {
-    while (inbuf_pos_ < inbuf_.size()) {
-      if (!in_payload) {
-        if (header.feed(inbuf_[inbuf_pos_++])) {
-          in_payload = true;
-          payload.resize(header.length());
-          if (payload.empty()) break;
-        }
-      } else {
-        const std::size_t take = std::min(payload.size() - payload_filled,
-                                          inbuf_.size() - inbuf_pos_);
-        std::memcpy(payload.data() + payload_filled,
-                    inbuf_.data() + inbuf_pos_, take);
-        payload_filled += take;
-        inbuf_pos_ += take;
-        if (payload_filled == payload.size()) break;
-      }
-    }
-    if (in_payload && payload_filled == payload.size()) break;
-    // Buffer exhausted mid-frame (or before one): refill.
-    inbuf_.resize(64 * 1024);
-    inbuf_pos_ = 0;
-    const std::size_t n = recv_some(inbuf_.data(), inbuf_.size());
-    if (n == 0) {
-      inbuf_.clear();
-      if (!in_payload && header.digits() == 0)
-        return false;  // clean EOF at a frame boundary
-      throw svc::ProtocolError("peer closed mid-frame");
-    }
-    inbuf_.resize(n);
-  }
-  frame = svc::parse_frame_payload(payload);
-  return true;
-}
-
-void SocketTransport::write(const obs::Json& frame) {
-  const std::string payload = frame.dump();
-  const std::string header = std::to_string(payload.size()) + "\n";
-  std::lock_guard<std::mutex> lock(write_mutex_);
-  if (write_closed_ || fd_ < 0) return;  // closed: drop, per the contract
-  for (const std::string* part : {&header, &payload}) {
-    std::size_t put = 0;
-    while (put < part->size()) {
-      const ssize_t w = ::send(fd_, part->data() + put, part->size() - put,
-                               MSG_NOSIGNAL);
-      if (w >= 0) {
-        put += static_cast<std::size_t>(w);
-        continue;
-      }
-      if (errno == EINTR) continue;
-      // Peer gone (EPIPE/ECONNRESET): our next read() reports it; a write
-      // error here would double the signal, so drop the rest quietly.
-      return;
-    }
-  }
-}
-
-void SocketTransport::close() {
-  std::lock_guard<std::mutex> lock(write_mutex_);
-  if (write_closed_ || fd_ < 0) return;
-  write_closed_ = true;
-  // Half-close: FIN the write side only. The peer drains buffered frames
-  // and sees EOF; our own read() keeps working until the peer closes too.
-  ::shutdown(fd_, SHUT_WR);
 }
 
 }  // namespace cwatpg::netio

@@ -1,20 +1,19 @@
-// POSIX TCP building blocks for the cwatpg.rpc/1 serving stack.
+// POSIX TCP building blocks for the cwatpg.rpc/1 serving stack: dialing
+// (tcp_connect, with or without retry) and "host:port" parsing.
 //
-// SocketTransport is a svc::Transport over one connected stream socket —
-// the same frame contract the stdio, in-memory and fd transports obey, so
-// the client, server, cluster coordinator, failpoints and journal all work
-// across a network boundary unchanged. It is the BLOCKING side of the net
+// A connected socket carries frames through svc::FdTransport(fd), named
+// SocketTransport here — the same transport, decoder and failpoints as
+// pipes and stdio. That is the BLOCKING side of the net
 // layer: the svc::Client in a coordinator, a remote worker attachment, or
 // a test harness owns the socket and reads frames synchronously (with an
 // optional per-read timeout). The nonblocking, many-connection side lives
 // in net_server.hpp.
 //
-// Thread-safe: write() from any thread (mutex-serialized, frames atomic);
-// read() single-consumer — the svc::Transport contract.
+// Thread-safe: the free functions are; see svc::FdTransport for the
+// transport's contract.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "svc/supervisor.hpp"
@@ -45,43 +44,9 @@ int tcp_connect_retry(const std::string& host, std::uint16_t port,
                       double timeout_seconds,
                       const svc::RetryOptions& retry);
 
-/// svc::Transport over a connected socket fd (takes ownership).
-///
-/// read() delivers whole frames, looping over short reads; a peer that
-/// vanishes cleanly (FIN — including a kill -9'd process, whose kernel
-/// sends FIN on its behalf) is end-of-stream at a frame boundary and a
-/// ProtocolError inside one. close() shuts down the write side so the
-/// peer's read() drains in-flight frames and then sees EOF — the same
-/// half-close discipline the pipe transports get from ::close.
-///
-/// Failpoints: `net.read.short` (arg K caps bytes per recv pass, driving
-/// the reassembly loop) and `net.conn.reset` (read throws as if the
-/// connection were reset) — both count under the caller's fp domain.
-class SocketTransport final : public svc::Transport {
- public:
-  explicit SocketTransport(int fd);
-  ~SocketTransport() override;
-
-  bool read(obs::Json& frame) override;
-  void write(const obs::Json& frame) override;
-  void close() override;
-
-  /// Bounds each read() at `seconds` (poll-based; 0 disables). A timeout
-  /// surfaces as ProtocolError("read timed out…"), which svc::Client
-  /// records as a transport error. Always supported: returns true.
-  bool set_read_timeout(double seconds) override;
-
- private:
-  /// Blocks (honoring read_timeout_) for up to `max` bytes. Returns 0 on
-  /// EOF; throws ProtocolError on error, reset, or timeout.
-  std::size_t recv_some(char* dst, std::size_t max);
-
-  int fd_ = -1;
-  double read_timeout_seconds_ = 0.0;  ///< single-consumer, like read()
-  std::string inbuf_;                  ///< bytes received, not yet framed
-  std::size_t inbuf_pos_ = 0;          ///< consumed prefix of inbuf_
-  std::mutex write_mutex_;
-  bool write_closed_ = false;  ///< guarded by write_mutex_
-};
+/// svc::Transport over one connected socket fd (takes ownership): reads
+/// and writes frames, half-closes with shutdown(SHUT_WR), never raises
+/// SIGPIPE. See svc::FdTransport.
+using SocketTransport = svc::FdTransport;
 
 }  // namespace cwatpg::netio

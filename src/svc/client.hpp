@@ -48,10 +48,11 @@ struct ClientOptions {
   /// Injectable sleep (tests pass a recorder; default really sleeps).
   std::function<void(double)> sleep_fn;
   /// Bound each blocking read on the transport (0 = wait forever). Only
-  /// transports that support timeouts honor it (SocketTransport does; the
-  /// pipe/stream transports ignore it — see Transport::set_read_timeout).
-  /// A timeout surfaces exactly like a torn session: the await returns
-  /// nullopt and `transport_errors` records why.
+  /// transports that support timeouts honor it: FdTransport (sockets,
+  /// pipes, stdio, the byte duplex) and the make_duplex() ends do — see
+  /// Transport::set_read_timeout. A timeout surfaces exactly like a torn
+  /// session: the await returns nullopt and `transport_errors` records
+  /// why.
   double read_timeout_seconds = 0.0;
 };
 

@@ -256,7 +256,7 @@ int main(int argc, char** argv) {
       cluster.serve(transport);
     } else {
       std::cerr << " — serving cwatpg.rpc/1 on stdin/stdout\n";
-      svc::StreamTransport transport(std::cin, std::cout);
+      svc::FdTransport transport(STDIN_FILENO, STDOUT_FILENO);
       cluster.serve(transport);
     }
     std::cerr << "cwatpg_cluster: drained, exiting\n";

@@ -1,123 +1,63 @@
 #include "svc/proto.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <istream>
-#include <ostream>
 #include <string>
 
 #include "util/failpoint.hpp"
 
 namespace cwatpg::svc {
 
-namespace {
-
-/// Reads exactly `length` bytes, looping over short reads instead of
-/// treating the first one as end-of-stream. A streambuf is allowed to
-/// deliver fewer bytes than asked (an interrupted or trickling source —
-/// the in-memory byte duplex does it by design, a pipe under EINTR does it
-/// in production); only zero bytes AT end-of-file, or a stream error with
-/// no progress, terminates the loop. Returns the byte count delivered.
-std::size_t read_exact(std::istream& in, char* dst, std::size_t length) {
-  std::size_t got = 0;
-  while (got < length) {
-    std::size_t want = length - got;
-    // Failpoint: cap this pass at @K bytes so the short-read recovery
-    // loop is exercised even over streambufs that never split reads.
-    if (const int k = CWATPG_FAILPOINT_ARG("svc.proto.read.short"); k >= 0)
-      want = std::min<std::size_t>(want, static_cast<std::size_t>(
-                                             std::max(1, k)));
-    in.read(dst + got, static_cast<std::streamsize>(want));
-    const std::size_t n = static_cast<std::size_t>(in.gcount());
-    got += n;
-    if (got == length) break;
-    if (n == 0) break;  // end of stream, or a hard error with no progress
-    // Partial delivery: istream::read sets failbit|eofbit whenever
-    // gcount < count, even though the source merely paused. Progress was
-    // made, so clear and keep reading — a true EOF re-reports itself as a
-    // zero-byte pass next iteration.
-    if (!in.good()) in.clear();
-  }
-  return got;
+std::string encode_frame(const obs::Json& frame) {
+  const std::string payload = frame.dump();
+  std::string out = std::to_string(payload.size());
+  out.reserve(out.size() + 1 + payload.size());
+  out += '\n';
+  out += payload;
+  return out;
 }
 
-/// Writes all of `data`, looping over short writes. Ostream inserters
-/// normally buffer internally, but the loop (and its failpoint, which
-/// forces @K-byte chunks with a flush between) keeps the invariant
-/// explicit: a frame is either fully written or the stream has failed.
-void write_all(std::ostream& out, const char* data, std::size_t length) {
-  std::size_t chunk = length;
-  if (const int k = CWATPG_FAILPOINT_ARG("svc.proto.write.short"); k >= 0)
-    chunk = static_cast<std::size_t>(std::max(1, k));
-  std::size_t done = 0;
-  while (done < length && out.good()) {
-    const std::size_t n = std::min(chunk, length - done);
-    out.write(data + done, static_cast<std::streamsize>(n));
-    done += n;
-    if (chunk < length) out.flush();
-  }
+void FrameDecoder::feed(const char* data, std::size_t n) {
+  // Drop the delivered prefix first: what stays is one unfinished frame.
+  buf_.erase(0, head_);
+  head_ = 0;
+  buf_.append(data, n);
 }
 
-}  // namespace
-
-bool FrameLengthParser::feed(char c, std::size_t max_bytes) {
-  if (c == '\n') {
-    if (digits_ == 0) throw ProtocolError("empty frame length header");
-    if (length_ > max_bytes)
-      throw ProtocolError("frame of " + std::to_string(length_) +
-                          " bytes exceeds the " + std::to_string(max_bytes) +
-                          "-byte limit");
-    return true;
+bool FrameDecoder::next(obs::Json& frame) {
+  while (!have_length_) {
+    if (head_ == buf_.size()) return false;
+    const char c = buf_[head_++];
+    if (digits_ == 0 && CWATPG_FAILPOINT("svc.proto.read.corrupt_len"))
+      throw ProtocolError("non-digit in frame length header (injected: "
+                          "svc.proto.read.corrupt_len)");
+    if (c == '\n') {
+      if (digits_ == 0) throw ProtocolError("empty frame length header");
+      if (length_ > kMaxFrameBytes)
+        throw ProtocolError("frame of " + std::to_string(length_) +
+                            " bytes exceeds the " +
+                            std::to_string(kMaxFrameBytes) + "-byte limit");
+      if (CWATPG_FAILPOINT("svc.proto.read.eof"))
+        throw ProtocolError("truncated frame payload (injected: "
+                            "svc.proto.read.eof)");
+      have_length_ = true;
+      break;
+    }
+    if (c < '0' || c > '9')
+      throw ProtocolError("non-digit in frame length header");
+    if (++digits_ > kMaxFrameHeaderDigits)
+      throw ProtocolError("frame length header too long");
+    length_ = length_ * 10 + static_cast<std::size_t>(c - '0');
   }
-  if (c < '0' || c > '9')
-    throw ProtocolError("non-digit in frame length header");
-  if (++digits_ > kMaxFrameHeaderDigits)
-    throw ProtocolError("frame length header too long");
-  length_ = length_ * 10 + static_cast<std::size_t>(c - '0');
-  return false;
-}
-
-obs::Json parse_frame_payload(const std::string& payload) {
+  if (buffered() < length_) return false;
+  const std::string_view payload(buf_.data() + head_, length_);
+  head_ += length_;
+  length_ = 0;
+  digits_ = 0;
+  have_length_ = false;
   try {
-    return obs::Json::parse(payload, kMaxFrameDepth);
+    frame = obs::Json::parse(payload, kMaxFrameDepth);
   } catch (const std::exception& e) {
     throw ProtocolError(std::string("bad frame payload: ") + e.what());
   }
-}
-
-void write_frame(std::ostream& out, const obs::Json& frame) {
-  const std::string payload = frame.dump();
-  const std::string header = std::to_string(payload.size()) + '\n';
-  write_all(out, header.data(), header.size());
-  write_all(out, payload.data(), payload.size());
-  out.flush();
-}
-
-bool read_frame(std::istream& in, obs::Json& frame, std::size_t max_bytes) {
-  // Header: decimal length terminated by '\n'. EOF before the first digit
-  // is a clean end of stream; EOF anywhere later is a truncated frame.
-  int c = in.get();
-  if (c == std::istream::traits_type::eof()) return false;
-  if (CWATPG_FAILPOINT("svc.proto.read.corrupt_len"))
-    throw ProtocolError("non-digit in frame length header (injected: "
-                        "svc.proto.read.corrupt_len)");
-  FrameLengthParser header;
-  while (!header.feed(static_cast<char>(c), max_bytes)) {
-    c = in.get();
-    if (c == std::istream::traits_type::eof())
-      throw ProtocolError("truncated frame header");
-  }
-  const std::size_t length = header.length();
-  if (CWATPG_FAILPOINT("svc.proto.read.eof"))
-    throw ProtocolError("truncated frame payload (injected: "
-                        "svc.proto.read.eof)");
-  std::string payload(length, '\0');
-  const std::size_t got = read_exact(in, payload.data(), length);
-  if (got != length)
-    throw ProtocolError("truncated frame payload (expected " +
-                        std::to_string(length) + " bytes, got " +
-                        std::to_string(got) + ")");
-  frame = parse_frame_payload(payload);
   return true;
 }
 

@@ -21,12 +21,12 @@
 // `load_circuit`, `status`, `cancel` and `shutdown` are control-plane
 // requests answered inline, in order.
 //
-// Thread-safe: free functions only; frame writes for one stream must be
-// externally serialized (svc::Transport does this).
+// Thread-safe: the free functions are; a FrameDecoder has one owner, and
+// frame writes for one stream must be externally serialized
+// (svc::Transport does this).
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -41,9 +41,9 @@ namespace cwatpg::svc {
 inline constexpr const char* kRpcSchema = "cwatpg.rpc/1";
 
 /// Hard ceiling on one frame's payload size. A length header above this is
-/// a protocol error, not an allocation — the cap is checked before any
-/// buffer is sized, so a hostile header cannot make the server reserve
-/// gigabytes.
+/// a protocol error. No header sizes a buffer, either: FrameDecoder keeps
+/// only the bytes that have arrived, so a hostile header cannot make the
+/// server reserve memory it was never sent.
 inline constexpr std::size_t kMaxFrameBytes = std::size_t(64) << 20;
 
 /// Nesting-depth cap handed to obs::Json::parse for frames (requests come
@@ -63,51 +63,58 @@ class ProtocolError : public std::runtime_error {
 
 /// Digit cap on the decimal length header. Far above what kMaxFrameBytes
 /// ever needs, and small enough that the accumulated value cannot overflow
-/// a std::size_t — the cap is what lets every framing layer parse the
-/// header without a range-checked string-to-integer conversion.
+/// a std::size_t — the cap is what lets the decoder parse the header
+/// without a range-checked string-to-integer conversion.
 inline constexpr std::size_t kMaxFrameHeaderDigits = 12;
 
-/// Incremental parser for the `<decimal byte count>\n` frame-length
-/// header — THE one definition of header syntax, shared by the stdio
-/// codec (read_frame), the raw-fd worker transport (FdTransport) and the
-/// socket layer's nonblocking reader, so the framing rules cannot drift
-/// between transports.
+/// One frame as it goes on the wire: decimal payload length, '\n', compact
+/// JSON payload. The only writer of the length header.
+std::string encode_frame(const obs::Json& frame);
+
+/// Incremental cwatpg.rpc/1 frame decoder: bytes in, whole frames out.
+/// The only parser of the length header — every reader (svc::FdTransport
+/// over pipes, sockets and stdio, and NetServer's per-connection reader)
+/// pushes what it receives through feed() and pops frames with next(), so
+/// header syntax, the kMaxFrameBytes cap, the kMaxFrameDepth cap and the
+/// clean-EOF-versus-truncated-frame rule cannot drift between transports.
 ///
-/// Feed one byte at a time; feed() returns true when the terminating
-/// '\n' was consumed and length() is the validated payload size. Throws
-/// ProtocolError on a non-digit, a header longer than
-/// kMaxFrameHeaderDigits, an empty header, or a length above `max_bytes`
-/// — checked AT the header, before any payload buffer is sized.
-class FrameLengthParser {
+/// Only bytes that have arrived are buffered: the advertised length sizes
+/// nothing, and a header above kMaxFrameBytes is rejected the moment its
+/// '\n' is parsed, before any payload is kept for it.
+///
+/// Failpoints, each evaluated once per frame in the caller's domain:
+/// `svc.proto.read.corrupt_len` (the frame's first byte reads as a
+/// non-digit) and `svc.proto.read.eof` (the payload is cut off right
+/// after the header).
+///
+/// Thread-safe: no — one owner, like Transport::read.
+class FrameDecoder {
  public:
-  bool feed(char c, std::size_t max_bytes = kMaxFrameBytes);
-  std::size_t length() const { return length_; }
-  /// Bytes fed so far (0 after reset); >0 means "mid-header", which is
-  /// how transports tell clean EOF from a truncated frame.
-  std::size_t digits() const { return digits_; }
-  void reset() {
-    length_ = 0;
-    digits_ = 0;
-  }
+  /// Appends received bytes. Never throws.
+  void feed(const char* data, std::size_t n);
+
+  /// Pops the next whole frame; false when more bytes are needed. Throws
+  /// ProtocolError on a malformed or oversized header, or a payload that
+  /// is not one JSON document within kMaxFrameDepth — the stream is
+  /// unusable after that.
+  bool next(obs::Json& frame);
+
+  /// No part of an unfinished frame is held (call after next() returned
+  /// false). At end of stream this is a clean close; anything else is a
+  /// truncated frame.
+  bool idle() const { return digits_ == 0 && buffered() == 0; }
+
+  /// Bytes received but not yet delivered, not counting a length header
+  /// that has already been parsed.
+  std::size_t buffered() const { return buf_.size() - head_; }
 
  private:
-  std::size_t length_ = 0;
-  std::size_t digits_ = 0;
+  std::string buf_;
+  std::size_t head_ = 0;      ///< consumed prefix of buf_
+  std::size_t length_ = 0;    ///< header value parsed so far
+  std::size_t digits_ = 0;    ///< header digits parsed so far (0 = between frames)
+  bool have_length_ = false;  ///< header complete; awaiting length_ payload bytes
 };
-
-/// Parses a frame payload into JSON under the svc depth limit, mapping
-/// parse failures to ProtocolError — shared by every framing layer.
-obs::Json parse_frame_payload(const std::string& payload);
-
-/// Writes one frame: decimal payload length, '\n', compact JSON payload.
-void write_frame(std::ostream& out, const obs::Json& frame);
-
-/// Reads one frame. Returns false on clean EOF at a frame boundary; throws
-/// ProtocolError on a malformed header, a payload over `max_bytes`, a
-/// truncated payload, or payload bytes that are not a valid JSON document
-/// within the svc depth limit.
-bool read_frame(std::istream& in, obs::Json& frame,
-                std::size_t max_bytes = kMaxFrameBytes);
 
 // ---- requests -------------------------------------------------------------
 

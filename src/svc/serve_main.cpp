@@ -5,11 +5,11 @@
 //                    [--listen=HOST:PORT | --connect=HOST:PORT]
 //
 // Speaks cwatpg.rpc/1 frames (`<len>\n<json>`) on stdin/stdout: the same
-// Server the in-memory tests drive, bound to a StreamTransport. Run it
-// under any process supervisor and multiplex clients in front of it, or
-// drive it directly from a script — scripts/service_smoke.py shows the
-// five-line Python client. Diagnostics go to stderr; stdout carries only
-// frames.
+// Server the in-memory tests drive, bound to an FdTransport on fds 0 and
+// 1. Run it under any process supervisor and multiplex clients in front of
+// it, or drive it directly from a script — scripts/service_smoke.py shows
+// the five-line Python client. Diagnostics go to stderr; stdout carries
+// only frames.
 //
 // --listen=HOST:PORT serves N concurrent TCP clients through the
 // netio::NetServer event loop instead (PORT 0 picks an ephemeral port; the
@@ -25,6 +25,8 @@
 #include <iostream>
 #include <memory>
 #include <string>
+
+#include <unistd.h>
 
 #include "net/net_server.hpp"
 #include "net/socket.hpp"
@@ -175,7 +177,7 @@ int main(int argc, char** argv) {
       server.serve(transport);
     } else {
       std::cerr << " — serving cwatpg.rpc/1 on stdin/stdout\n";
-      svc::StreamTransport transport(std::cin, std::cout);
+      svc::FdTransport transport(STDIN_FILENO, STDOUT_FILENO);
       server.serve(transport);
     }
   } catch (const std::exception& e) {

@@ -171,9 +171,10 @@ void Server::serve(Transport& transport) {
   const SessionId session =
       open_session(std::shared_ptr<Transport>(&transport, [](Transport*) {}));
 
-  // Failpoint domain label: the reader thread's hits on shared sites
-  // (svc.proto.*) count separately from the client's, so a seeded
-  // schedule replays the same way regardless of peer interleaving.
+  // Failpoint domain label: the reader thread's hits on shared sites (the
+  // transport's svc.proto.* and net.*) count separately from the
+  // client's, so a seeded schedule replays the same way regardless of
+  // peer interleaving.
   fp::DomainScope reader_domain("svc.reader");
   bool got_shutdown = false;
   std::uint64_t shutdown_id = 0;

@@ -1,135 +1,16 @@
 #include "svc/spawn.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
 #include <stdexcept>
 
 #include <fcntl.h>
-#include <poll.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "svc/proto.hpp"
-
 namespace cwatpg::svc {
-
-namespace {
-
-/// read(2) exactly `n` bytes. Returns false on EOF at offset 0; throws
-/// ProtocolError on EOF mid-object or a hard error. EINTR is retried.
-/// `timeout_seconds` > 0 bounds each read with poll(2); expiry throws
-/// ProtocolError, the same torn-session signal a dead peer gives.
-bool read_exact(int fd, char* buf, std::size_t n, bool at_boundary,
-                double timeout_seconds = 0.0) {
-  std::size_t got = 0;
-  while (got < n) {
-    if (timeout_seconds > 0.0) {
-      struct pollfd pfd;
-      pfd.fd = fd;
-      pfd.events = POLLIN;
-      pfd.revents = 0;
-      const int timeout_ms = std::max(
-          1, static_cast<int>(timeout_seconds * 1000.0));
-      const int ready = ::poll(&pfd, 1, timeout_ms);
-      if (ready == 0)
-        throw ProtocolError("read timed out after " +
-                            std::to_string(timeout_seconds) + "s");
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        throw ProtocolError(std::string("poll failed: ") +
-                            std::strerror(errno));
-      }
-      // POLLHUP/POLLERR fall through to read(2), which reports the EOF
-      // or error precisely.
-    }
-    const ssize_t r = ::read(fd, buf + got, n - got);
-    if (r > 0) {
-      got += static_cast<std::size_t>(r);
-      continue;
-    }
-    if (r == 0) {
-      if (got == 0 && at_boundary) return false;
-      throw ProtocolError("unexpected end of stream inside a frame");
-    }
-    if (errno == EINTR) continue;
-    throw ProtocolError(std::string("read failed: ") + std::strerror(errno));
-  }
-  return true;
-}
-
-void write_all(int fd, const char* buf, std::size_t n) {
-  std::size_t put = 0;
-  while (put < n) {
-    const ssize_t w = ::write(fd, buf + put, n - put);
-    if (w >= 0) {
-      put += static_cast<std::size_t>(w);
-      continue;
-    }
-    if (errno == EINTR) continue;
-    // EPIPE: the worker died. The caller's NEXT read() observes the
-    // end-of-stream; reporting it here as well would double the signal.
-    if (errno == EPIPE) return;
-    throw ProtocolError(std::string("write failed: ") + std::strerror(errno));
-  }
-}
-
-}  // namespace
-
-FdTransport::FdTransport(int read_fd, int write_fd)
-    : read_fd_(read_fd), write_fd_(write_fd) {}
-
-FdTransport::~FdTransport() {
-  close();
-  if (read_fd_ >= 0) ::close(read_fd_);
-}
-
-bool FdTransport::read(obs::Json& frame) {
-  if (read_fd_ < 0) return false;
-  // Header: decimal byte count, '\n'. Read byte-at-a-time — the header is
-  // a dozen bytes and this is the only way to stop exactly at the '\n'
-  // without buffering into the payload. Syntax and caps live in the
-  // shared FrameLengthParser, so this transport cannot drift from the
-  // stdio codec.
-  FrameLengthParser header;
-  char c = 0;
-  while (true) {
-    if (!read_exact(read_fd_, &c, 1, header.digits() == 0,
-                    read_timeout_seconds_))
-      return false;
-    if (header.feed(c)) break;
-  }
-  std::string payload(header.length(), '\0');
-  if (!payload.empty())
-    read_exact(read_fd_, payload.data(), payload.size(), false,
-               read_timeout_seconds_);
-  frame = parse_frame_payload(payload);
-  return true;
-}
-
-bool FdTransport::set_read_timeout(double seconds) {
-  read_timeout_seconds_ = seconds > 0.0 ? seconds : 0.0;
-  return true;
-}
-
-void FdTransport::write(const obs::Json& frame) {
-  const std::string payload = frame.dump();
-  const std::string header = std::to_string(payload.size()) + "\n";
-  std::lock_guard<std::mutex> lock(write_mutex_);
-  if (write_fd_ < 0) return;  // closed: drop, like the other transports
-  write_all(write_fd_, header.data(), header.size());
-  write_all(write_fd_, payload.data(), payload.size());
-}
-
-void FdTransport::close() {
-  std::lock_guard<std::mutex> lock(write_mutex_);
-  if (write_fd_ >= 0) {
-    ::close(write_fd_);
-    write_fd_ = -1;
-  }
-}
 
 ChildProcess spawn_child(const std::vector<std::string>& argv) {
   if (argv.empty()) throw std::runtime_error("spawn_child: empty argv");

@@ -1,54 +1,24 @@
-// Worker process plumbing for the cluster coordinator: cwatpg.rpc/1
-// frames over raw POSIX file descriptors, plus fork/exec of child daemons
-// with their stdin/stdout wired to a transport.
+// Worker process plumbing for the cluster coordinator: fork/exec of child
+// daemons with their stdin/stdout wired to an FdTransport(read_fd,
+// write_fd) — the same transport, decoder and failpoints every other
+// cwatpg.rpc/1 byte stream uses (svc/transport.hpp). A worker crash — the
+// failover drill's whole subject — surfaces as a clean end-of-stream or
+// EPIPE, never as a hang. The embedding process must ignore SIGPIPE for
+// the EPIPE path to be reachable (cwatpg_cluster installs SIG_IGN at
+// startup); nothing here touches global signal state.
 //
-// StreamTransport needs iostreams; a spawned child hands us two pipe fds.
-// Rather than wrap them in nonstandard fd-streambufs, FdTransport speaks
-// the frame codec (`<decimal length>\n<payload>`) directly over read(2)/
-// write(2), with the same untrusted-input limits proto.cpp enforces
-// (frame byte cap before any allocation, JSON nesting-depth cap). A
-// worker crash — the failover drill's whole subject — surfaces here as a
-// clean end-of-stream or EPIPE, never as a hang. The embedding process
-// must ignore SIGPIPE for the EPIPE path to be reachable (cwatpg_cluster
-// installs SIG_IGN at startup); FdTransport itself never touches global
-// signal state.
-//
-// Thread-safe: write() from any thread (one mutex, one full-frame write
-// per lock hold); read() single-consumer, like every Transport.
+// Thread-safe: spawn_child and the reapers are free functions with no
+// shared state; the returned transport follows the Transport contract.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "svc/transport.hpp"
 
 namespace cwatpg::svc {
-
-class FdTransport final : public Transport {
- public:
-  /// Takes ownership of both descriptors (closed on destruction). Either
-  /// may be -1 for a half-open transport.
-  FdTransport(int read_fd, int write_fd);
-  ~FdTransport() override;
-
-  bool read(obs::Json& frame) override;
-  void write(const obs::Json& frame) override;
-  /// Closes the WRITE side only (the peer's stdin sees EOF — how a
-  /// coordinator stops a worker); read() keeps draining buffered frames.
-  void close() override;
-  /// Supported (poll(2) before each read): how the coordinator bounds a
-  /// heartbeat probe so a wedged-but-alive worker cannot hang it.
-  bool set_read_timeout(double seconds) override;
-
- private:
-  int read_fd_;
-  int write_fd_;  ///< guarded by write_mutex_ (-1 once closed)
-  std::mutex write_mutex_;
-  double read_timeout_seconds_ = 0.0;  ///< single-consumer, like read()
-};
 
 /// A spawned worker daemon: its pid plus the coordinator-side transport
 /// whose write end feeds the child's stdin and whose read end drains the

@@ -1,35 +1,130 @@
 #include "svc/transport.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
-#include <istream>
-#include <ostream>
-#include <streambuf>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
-#include "svc/proto.hpp"
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include "util/failpoint.hpp"
 
 namespace cwatpg::svc {
 
-// ---- StreamTransport ------------------------------------------------------
+// ---- FdTransport ----------------------------------------------------------
 
-bool StreamTransport::read(obs::Json& frame) {
-  return read_frame(in_, frame);
+FdTransport::FdTransport(int socket_fd)
+    : read_fd_(socket_fd), write_fd_(socket_fd) {
+  const int one = 1;  // fails harmlessly on a socketpair
+  ::setsockopt(socket_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-void StreamTransport::write(const obs::Json& frame) {
-  std::lock_guard<std::mutex> lock(write_mutex_);
-  if (closed_) return;
-  write_frame(out_, frame);
+FdTransport::FdTransport(int read_fd, int write_fd)
+    : read_fd_(read_fd), write_fd_(write_fd) {}
+
+FdTransport::~FdTransport() {
+  close();
+  if (read_fd_ >= 0) ::close(read_fd_);
 }
 
-void StreamTransport::close() {
+bool FdTransport::set_read_timeout(double seconds) {
+  read_timeout_seconds_ = seconds > 0.0 ? seconds : 0.0;
+  return true;
+}
+
+std::size_t FdTransport::read_some(char* dst, std::size_t max) {
+  // Failpoint: cap this pass at @K bytes so every reassembly path (header
+  // split across reads, payload trickling in) is exercised on demand.
+  if (const int k = CWATPG_FAILPOINT_ARG("net.read.short"); k >= 0)
+    max = std::min<std::size_t>(max,
+                                static_cast<std::size_t>(std::max(1, k)));
+  if (CWATPG_FAILPOINT("net.conn.reset"))
+    throw ProtocolError("connection reset by peer (injected: "
+                        "net.conn.reset)");
+  for (;;) {
+    if (read_timeout_seconds_ > 0.0) {
+      ::pollfd pfd{read_fd_, POLLIN, 0};
+      const int timeout_ms = static_cast<int>(
+          std::max(1.0, read_timeout_seconds_ * 1000.0));
+      const int pr = ::poll(&pfd, 1, timeout_ms);
+      if (pr == 0)
+        throw ProtocolError("read timed out after " +
+                            std::to_string(read_timeout_seconds_) + "s");
+      if (pr < 0) {
+        if (errno == EINTR) continue;
+        throw ProtocolError(std::string("poll failed: ") +
+                            std::strerror(errno));
+      }
+      // POLLHUP/POLLERR fall through to read(2), which reports the EOF
+      // or error precisely.
+    }
+    const ssize_t n = ::read(read_fd_, dst, max);
+    if (n >= 0) return static_cast<std::size_t>(n);
+    if (errno == EINTR) continue;
+    throw ProtocolError(std::string("read failed: ") + std::strerror(errno));
+  }
+}
+
+bool FdTransport::read(obs::Json& frame) {
+  if (read_fd_ < 0) return false;
+  while (!decoder_.next(frame)) {
+    char buf[64 * 1024];
+    const std::size_t n = read_some(buf, sizeof buf);
+    if (n == 0) {
+      if (decoder_.idle()) return false;  // clean EOF at a frame boundary
+      throw ProtocolError("peer closed mid-frame");
+    }
+    decoder_.feed(buf, n);
+  }
+  return true;
+}
+
+void FdTransport::write(const obs::Json& frame) {
+  const std::string bytes = encode_frame(frame);
   std::lock_guard<std::mutex> lock(write_mutex_);
-  closed_ = true;
-  out_.flush();
+  if (write_closed_ || write_fd_ < 0) return;  // closed: drop, per contract
+  // Failpoint: dribble the frame out @K bytes per call, so the peer's
+  // reassembly meets short writes too.
+  std::size_t chunk = bytes.size();
+  if (const int k = CWATPG_FAILPOINT_ARG("svc.proto.write.short"); k >= 0)
+    chunk = static_cast<std::size_t>(std::max(1, k));
+  std::size_t put = 0;
+  while (put < bytes.size()) {
+    const std::size_t want = std::min(chunk, bytes.size() - put);
+    const ssize_t w =
+        one_socket()
+            ? ::send(write_fd_, bytes.data() + put, want, MSG_NOSIGNAL)
+            : ::write(write_fd_, bytes.data() + put, want);
+    if (w >= 0) {
+      put += static_cast<std::size_t>(w);
+      continue;
+    }
+    if (errno == EINTR) continue;
+    // Peer gone (EPIPE/ECONNRESET): our next read() reports it; a write
+    // error here would double the signal, so drop the rest quietly.
+    return;
+  }
+}
+
+void FdTransport::close() {
+  std::lock_guard<std::mutex> lock(write_mutex_);
+  if (write_closed_ || write_fd_ < 0) return;
+  write_closed_ = true;
+  // Half-close: the peer drains buffered frames and sees EOF, while our
+  // own read() keeps working until the peer closes too.
+  if (one_socket())
+    ::shutdown(write_fd_, SHUT_WR);
+  else
+    ::close(write_fd_);
 }
 
 // ---- in-memory duplex -----------------------------------------------------
@@ -49,8 +144,8 @@ class FrameChannel {
   }
 
   /// `timeout_seconds` > 0 bounds the wait; expiry throws ProtocolError —
-  /// the same torn-session shape SocketTransport and FdTransport give, so
-  /// heartbeat code paths are testable over in-memory pairs.
+  /// the same torn-session shape FdTransport gives, so heartbeat code
+  /// paths are testable over in-memory pairs.
   bool pop(obs::Json& frame, double timeout_seconds) {
     std::unique_lock<std::mutex> lock(mutex_);
     const auto ready = [&] { return closed_ || !frames_.empty(); };
@@ -130,139 +225,6 @@ class DuplexEnd final : public Transport {
   double read_timeout_seconds_ = 0.0;  ///< single-consumer, like read()
 };
 
-// ---- in-memory byte duplex ------------------------------------------------
-
-/// One direction of the byte pipe: a blocking byte queue with close
-/// semantics. read_some returns at least one byte when any are buffered —
-/// and never waits for a full request — so readers above it see exactly
-/// the short-read behavior of a real pipe.
-class ByteChannel {
- public:
-  void write(const char* data, std::size_t n) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) return;  // writes after close are dropped, like a pipe
-      bytes_.insert(bytes_.end(), data, data + n);
-    }
-    cv_.notify_all();
-  }
-
-  /// Blocks until at least one byte is available or the channel is closed
-  /// and drained (returns 0 — end of stream).
-  std::size_t read_some(char* dst, std::size_t max) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return closed_ || !bytes_.empty(); });
-    const std::size_t n = std::min(max, bytes_.size());
-    std::copy_n(bytes_.begin(), n, dst);
-    bytes_.erase(bytes_.begin(), bytes_.begin() + static_cast<long>(n));
-    return n;
-  }
-
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    cv_.notify_all();
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<char> bytes_;
-  bool closed_ = false;
-};
-
-/// Input streambuf over a ByteChannel. xsgetn is deliberately overridden
-/// to deliver at most one refill per call: istream::read over this buf
-/// returns short counts exactly like read(2) on a pipe, which is the
-/// behavior proto.cpp's read_exact loop must absorb.
-class ChannelInBuf final : public std::streambuf {
- public:
-  explicit ChannelInBuf(ByteChannel& channel) : channel_(channel) {}
-
- protected:
-  int_type underflow() override {
-    const std::size_t n = channel_.read_some(buf_, sizeof buf_);
-    if (n == 0) return traits_type::eof();
-    setg(buf_, buf_, buf_ + n);
-    return traits_type::to_int_type(buf_[0]);
-  }
-
-  std::streamsize xsgetn(char* s, std::streamsize n) override {
-    if (gptr() == egptr() &&
-        underflow() == traits_type::eof())
-      return 0;
-    const std::streamsize take = std::min(n, egptr() - gptr());
-    std::memcpy(s, gptr(), static_cast<std::size_t>(take));
-    gbump(static_cast<int>(take));
-    return take;
-  }
-
- private:
-  ByteChannel& channel_;
-  char buf_[256];
-};
-
-/// Output streambuf over a ByteChannel: unbuffered, every byte goes
-/// straight to the channel (frame atomicity is the transport's job, via
-/// StreamTransport's write mutex).
-class ChannelOutBuf final : public std::streambuf {
- public:
-  explicit ChannelOutBuf(ByteChannel& channel) : channel_(channel) {}
-
- protected:
-  int_type overflow(int_type c) override {
-    if (c == traits_type::eof()) return traits_type::not_eof(c);
-    const char byte = traits_type::to_char_type(c);
-    channel_.write(&byte, 1);
-    return c;
-  }
-
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    channel_.write(s, static_cast<std::size_t>(n));
-    return n;
-  }
-
- private:
-  ByteChannel& channel_;
-};
-
-/// One end of the byte duplex: a StreamTransport over channel-backed
-/// streams, plus close() that also releases a blocked peer reader.
-class ByteDuplexEnd final : public Transport {
- public:
-  ByteDuplexEnd(std::shared_ptr<ByteChannel> in,
-                std::shared_ptr<ByteChannel> out)
-      : in_channel_(std::move(in)),
-        out_channel_(std::move(out)),
-        inbuf_(*in_channel_),
-        outbuf_(*out_channel_),
-        istream_(&inbuf_),
-        ostream_(&outbuf_),
-        stream_(istream_, ostream_) {}
-
-  ~ByteDuplexEnd() override { ByteDuplexEnd::close(); }
-
-  bool read(obs::Json& frame) override { return stream_.read(frame); }
-  void write(const obs::Json& frame) override { stream_.write(frame); }
-
-  void close() override {
-    stream_.close();
-    out_channel_->close();
-    in_channel_->close();
-  }
-
- private:
-  std::shared_ptr<ByteChannel> in_channel_;
-  std::shared_ptr<ByteChannel> out_channel_;
-  ChannelInBuf inbuf_;
-  ChannelOutBuf outbuf_;
-  std::istream istream_;
-  std::ostream ostream_;
-  StreamTransport stream_;
-};
-
 }  // namespace
 
 DuplexPair make_duplex() {
@@ -274,11 +236,13 @@ DuplexPair make_duplex() {
 }
 
 DuplexPair make_byte_duplex() {
-  auto to_server = std::make_shared<ByteChannel>();
-  auto to_client = std::make_shared<ByteChannel>();
+  int sv[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0)
+    throw std::runtime_error(std::string("socketpair failed: ") +
+                             std::strerror(errno));
   DuplexPair pair;
-  pair.client = std::make_unique<ByteDuplexEnd>(to_client, to_server);
-  pair.server = std::make_unique<ByteDuplexEnd>(to_server, to_client);
+  pair.client = std::make_unique<FdTransport>(sv[0]);
+  pair.server = std::make_unique<FdTransport>(sv[1]);
   return pair;
 }
 

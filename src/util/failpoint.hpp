@@ -17,7 +17,7 @@
 //
 //   if (CWATPG_FAILPOINT("sat.solver.alloc")) throw std::bad_alloc();
 //
-//   const int k = CWATPG_FAILPOINT_ARG("svc.proto.read.short");
+//   const int k = CWATPG_FAILPOINT_ARG("net.read.short");
 //   if (k >= 0) limit = std::max(1, k);   // site-defined parameter
 //
 // Arming, from a test or via the CWATPG_FAILPOINTS environment variable

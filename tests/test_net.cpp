@@ -1,6 +1,7 @@
-// Coverage for the TCP serving layer (src/net): the shared frame-length
-// parser, SocketTransport over real stream sockets, the NetServer
-// event loop multiplexing concurrent clients onto one svc::Server
+// Coverage for the TCP serving layer (src/net): the length header as the
+// shared decoder parses it, the fd transport in every form (socket, pipe
+// pair, byte duplex), the NetServer event loop multiplexing concurrent
+// clients onto one svc::Server
 // (per-connection routing, disconnect-cancels-ownership, admission,
 // idle reaping, the four net.* failpoints, drain-on-shutdown), and the
 // cluster coordinator attached to remote TCP workers — including the
@@ -9,6 +10,7 @@
 // interleavings run under TSan via the `tsan` ctest label.
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -146,48 +148,83 @@ TEST(NetParse, HostPortForms) {
                std::runtime_error);
 }
 
-// ---- the shared frame-length parser (one header syntax, every transport) --
+// ---- the length header (one parser: svc::FrameDecoder) --------------------
 
 TEST(NetFraming, LengthParserAcceptsHeader) {
-  svc::FrameLengthParser p;
-  for (const char c : {'1', '2', '3'}) EXPECT_FALSE(p.feed(c));
-  EXPECT_EQ(p.digits(), 3u);
-  EXPECT_TRUE(p.feed('\n'));
-  EXPECT_EQ(p.length(), 123u);
-  p.reset();
-  EXPECT_EQ(p.digits(), 0u);
+  svc::FrameDecoder d;
+  obs::Json frame;
+  for (const char c : {'1', '2'}) {
+    d.feed(&c, 1);
+    EXPECT_FALSE(d.next(frame));
+    EXPECT_FALSE(d.idle());  // a partial header is a partial frame
+  }
+  d.feed("\n", 1);
+  EXPECT_FALSE(d.next(frame));
+  EXPECT_EQ(d.buffered(), 0u);  // the header is parsed, not buffered
+  EXPECT_FALSE(d.idle());       // ...but its 12 payload bytes are owed
+  const std::string payload = "{\"id\":12345}";
+  ASSERT_EQ(payload.size(), 12u);
+  d.feed(payload.data(), payload.size());
+  ASSERT_TRUE(d.next(frame));
+  EXPECT_EQ(frame.at("id").as_u64(), 12345u);
+  EXPECT_TRUE(d.idle());
 }
 
 TEST(NetFraming, LengthParserRejectsGarbage) {
-  {
-    svc::FrameLengthParser p;
-    EXPECT_THROW(p.feed('x'), svc::ProtocolError);  // non-digit
-  }
-  {
-    svc::FrameLengthParser p;
-    EXPECT_THROW(p.feed('\n'), svc::ProtocolError);  // empty header
-  }
-  {
-    svc::FrameLengthParser p;  // over the digit cap
-    bool threw = false;
+  const auto rejects = [](const std::string& bytes) {
+    svc::FrameDecoder d;
+    d.feed(bytes.data(), bytes.size());
+    obs::Json frame;
     try {
-      for (std::size_t i = 0; i <= svc::kMaxFrameHeaderDigits; ++i)
-        p.feed('9');
+      d.next(frame);
     } catch (const svc::ProtocolError&) {
-      threw = true;
+      return true;
     }
-    EXPECT_TRUE(threw);
-  }
-  {
-    svc::FrameLengthParser p;  // cap checked at the header, pre-allocation
-    p.feed('9');
-    p.feed('9');
-    EXPECT_THROW(p.feed('\n', /*max_bytes=*/10), svc::ProtocolError);
-  }
+    return false;
+  };
+  EXPECT_TRUE(rejects("x"));   // non-digit
+  EXPECT_TRUE(rejects("\n"));  // empty header
+  EXPECT_TRUE(rejects(std::string(svc::kMaxFrameHeaderDigits + 1, '9')));
+  // The size cap is checked at the header, before any payload is kept.
+  EXPECT_TRUE(rejects(std::to_string(svc::kMaxFrameBytes + 1) + "\n"));
+  EXPECT_FALSE(rejects(std::to_string(svc::kMaxFrameBytes) + "\n"));
 }
 
-// ---- SocketTransport over a socketpair ------------------------------------
+// ---- every fd transport form ------------------------------------------------
 
+/// The three shapes a cwatpg.rpc/1 byte stream takes, as two connected
+/// transport ends: one socket each, a read/write pipe pair each, and
+/// make_byte_duplex(). `a_write_fd` is the fd `a` writes through, for
+/// injecting hand-made bytes; -1 where the form hides its fds (the byte
+/// duplex, which is the socketpair form inside).
+struct FdForm {
+  std::string name;
+  std::unique_ptr<svc::Transport> a, b;
+  int a_write_fd = -1;
+};
+
+std::vector<FdForm> fd_forms() {
+  std::vector<FdForm> forms;
+  int sv[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
+    throw std::runtime_error("socketpair failed");
+  forms.push_back({"FdTransport(fd) over a socketpair",
+                   std::make_unique<svc::FdTransport>(sv[0]),
+                   std::make_unique<svc::FdTransport>(sv[1]), sv[0]});
+  int a_to_b[2], b_to_a[2];
+  if (::pipe(a_to_b) != 0 || ::pipe(b_to_a) != 0)
+    throw std::runtime_error("pipe failed");
+  forms.push_back({"FdTransport(r, w) over two pipes",
+                   std::make_unique<svc::FdTransport>(b_to_a[0], a_to_b[1]),
+                   std::make_unique<svc::FdTransport>(a_to_b[0], b_to_a[1]),
+                   a_to_b[1]});
+  svc::DuplexPair duplex = svc::make_byte_duplex();
+  forms.push_back({"make_byte_duplex()", std::move(duplex.client),
+                   std::move(duplex.server), -1});
+  return forms;
+}
+
+/// Two SocketTransports over a socketpair.
 struct SocketPair {
   std::unique_ptr<netio::SocketTransport> a, b;
   SocketPair() {
@@ -200,57 +237,76 @@ struct SocketPair {
 };
 
 TEST(NetSocket, FramesRoundTripBothDirections) {
-  SocketPair sp;
-  const obs::Json msg = request_json(7, "status");
-  sp.a->write(msg);
-  obs::Json got;
-  ASSERT_TRUE(sp.b->read(got));
-  EXPECT_EQ(got, msg);
-  sp.b->write(svc::make_response(7, obs::Json::object()));
-  ASSERT_TRUE(sp.a->read(got));
-  EXPECT_EQ(got.at("id").as_u64(), 7u);
+  for (FdForm& f : fd_forms()) {
+    SCOPED_TRACE(f.name);
+    const obs::Json msg = request_json(7, "status");
+    f.a->write(msg);
+    obs::Json got;
+    ASSERT_TRUE(f.b->read(got));
+    EXPECT_EQ(got, msg);
+    f.b->write(svc::make_response(7, obs::Json::object()));
+    ASSERT_TRUE(f.a->read(got));
+    EXPECT_EQ(got.at("id").as_u64(), 7u);
+  }
 }
 
 TEST(NetSocket, LargeFrameSurvivesShortReads) {
   if (!fp::kEnabled) GTEST_SKIP() << "built with CWATPG_FAILPOINTS=OFF";
-  SocketPair sp;
   obs::Json params = obs::Json::object();
   params["blob"] = std::string(100 * 1024, 'x');
   const obs::Json msg = request_json(1, "status", std::move(params));
-  // Deliver at most 4093 bytes per recv: the header and payload are both
-  // forced through the reassembly loop.
-  fp::ScheduleScope fps("net.read.short=always@4093");
-  std::thread writer([&] {
-    sp.a->write(msg);
-    sp.a->write(msg);  // back-to-back: leftover bytes must carry over
-  });
-  obs::Json got;
-  ASSERT_TRUE(sp.b->read(got));
-  EXPECT_EQ(got, msg);
-  ASSERT_TRUE(sp.b->read(got));
-  EXPECT_EQ(got, msg);
-  writer.join();
+  for (FdForm& f : fd_forms()) {
+    SCOPED_TRACE(f.name);
+    // Deliver at most 4093 bytes per read: the header and payload are
+    // both forced through the reassembly loop.
+    fp::ScheduleScope fps("net.read.short=always@4093");
+    std::thread writer([&] {
+      f.a->write(msg);
+      f.a->write(msg);  // back-to-back: leftover bytes must carry over
+    });
+    obs::Json got;
+    EXPECT_TRUE(f.b->read(got));
+    EXPECT_EQ(got, msg);
+    EXPECT_TRUE(f.b->read(got));
+    EXPECT_EQ(got, msg);
+    writer.join();
+  }
 }
 
 TEST(NetSocket, CleanCloseIsEofMidFrameIsError) {
-  {
-    SocketPair sp;
-    sp.a->write(request_json(1, "status"));
-    sp.a->close();
+  for (FdForm& f : fd_forms()) {
+    SCOPED_TRACE(f.name);
+    f.a->write(request_json(1, "status"));
+    f.a->close();
     obs::Json got;
-    ASSERT_TRUE(sp.b->read(got));   // buffered frame survives the close
-    EXPECT_FALSE(sp.b->read(got));  // then clean EOF at the boundary
+    ASSERT_TRUE(f.b->read(got));   // buffered frame survives the close
+    EXPECT_FALSE(f.b->read(got));  // then clean EOF at the boundary
   }
-  {
-    int sv[2];
-    ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sv));
-    netio::SocketTransport reader(sv[0]);
-    ::send(sv[1], "999\n{\"trunc", 11, 0);  // header promises 999 bytes
-    ::shutdown(sv[1], SHUT_WR);
+  for (FdForm& f : fd_forms()) {
+    if (f.a_write_fd < 0) continue;
+    SCOPED_TRACE(f.name);
+    // The header promises 999 bytes; the stream ends after 7.
+    ASSERT_EQ(::write(f.a_write_fd, "999\n{\"trunc", 11), 11);
+    f.a->close();
     obs::Json got;
-    EXPECT_THROW(reader.read(got), svc::ProtocolError);
-    ::close(sv[1]);
+    EXPECT_THROW(f.b->read(got), svc::ProtocolError);
   }
+}
+
+TEST(NetSocket, WriteToClosedPeerRaisesNoSigpipe) {
+  // SIGPIPE is at its default disposition here, so a send() that raised
+  // it would kill this test binary.
+  struct sigaction action {};
+  ASSERT_EQ(::sigaction(SIGPIPE, nullptr, &action), 0);
+  ASSERT_EQ(action.sa_handler, SIG_DFL);
+  int sv[2];
+  ASSERT_EQ(0, ::socketpair(AF_UNIX, SOCK_STREAM, 0, sv));
+  netio::SocketTransport t(sv[0]);
+  ::close(sv[1]);
+  t.write(request_json(1, "status"));
+  t.write(request_json(2, "status"));  // and again, after the EPIPE
+  obs::Json got;
+  EXPECT_FALSE(t.read(got));  // the peer's death surfaces on the read
 }
 
 TEST(NetSocket, InjectedResetThrows) {
@@ -262,15 +318,17 @@ TEST(NetSocket, InjectedResetThrows) {
 }
 
 TEST(NetSocket, ReadTimeoutSurfacesAsProtocolError) {
-  SocketPair sp;
-  ASSERT_TRUE(sp.b->set_read_timeout(0.05));
-  obs::Json got;
-  try {
-    sp.b->read(got);
-    FAIL() << "read should have timed out";
-  } catch (const svc::ProtocolError& e) {
-    EXPECT_NE(std::string(e.what()).find("timed out"), std::string::npos)
-        << e.what();
+  for (FdForm& f : fd_forms()) {
+    SCOPED_TRACE(f.name);
+    ASSERT_TRUE(f.b->set_read_timeout(0.05));
+    obs::Json got;
+    try {
+      f.b->read(got);
+      ADD_FAILURE() << "read should have timed out";
+    } catch (const svc::ProtocolError& e) {
+      EXPECT_NE(std::string(e.what()).find("timed out"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -523,9 +581,7 @@ TEST(NetFailpoints, ServerSideResetTearsConnectionDown) {
   // `once` deterministically fires server-side.
   const int fd = netio::tcp_connect("127.0.0.1", f.net_server.port());
   fp::ScheduleScope fps("net.conn.reset=once");
-  const obs::Json req = request_json(1, "status");
-  const std::string payload = req.dump();
-  const std::string wire = std::to_string(payload.size()) + "\n" + payload;
+  const std::string wire = svc::encode_frame(request_json(1, "status"));
   ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
             static_cast<ssize_t>(wire.size()));
   // The teardown closes the fd with our request still unread, so the

@@ -1,5 +1,6 @@
 // End-to-end and unit coverage for the serving subsystem (src/svc): the
-// cwatpg.rpc/1 frame codec, the content-addressed circuit registry, the
+// cwatpg.rpc/1 frame decoder (including a seeded chunking fuzz) and fd
+// transports, the content-addressed circuit registry, the
 // bounded job queue, and the Server request lifecycle over an in-memory
 // duplex transport — including the determinism contract (served run_atpg
 // is byte-identical to a direct engine call) and the exactly-one-terminal-
@@ -18,6 +19,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "fault/fault.hpp"
 #include "fault/fsim.hpp"
 #include "fault/tegus.hpp"
@@ -32,6 +35,7 @@
 #include "svc/server.hpp"
 #include "svc/transport.hpp"
 #include "util/failpoint.hpp"
+#include "util/rng.hpp"
 
 namespace cwatpg::svc {
 namespace {
@@ -114,48 +118,87 @@ struct ServedFixture {
 
 // ---- proto: frame codec ---------------------------------------------------
 
+/// Feeds `bytes` to `d` in one piece and pops every whole frame.
+std::vector<obs::Json> feed_all(FrameDecoder& d, const std::string& bytes) {
+  d.feed(bytes.data(), bytes.size());
+  std::vector<obs::Json> frames;
+  obs::Json frame;
+  while (d.next(frame)) frames.push_back(frame);
+  return frames;
+}
+
 TEST(SvcProto, FrameRoundTrip) {
-  obs::Json msg = request_json(42, "status");
-  std::stringstream stream;
-  write_frame(stream, msg);
-  obs::Json back;
-  ASSERT_TRUE(read_frame(stream, back));
-  EXPECT_EQ(back, msg);
-  // Stream is now at a clean boundary: next read is EOF, not an error.
-  EXPECT_FALSE(read_frame(stream, back));
+  const obs::Json msg = request_json(42, "status");
+  FrameDecoder d;
+  const std::vector<obs::Json> frames = feed_all(d, encode_frame(msg));
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0], msg);
+  // Nothing held: end of stream here is a clean close, not an error.
+  EXPECT_TRUE(d.idle());
 }
 
 TEST(SvcProto, BackToBackFramesStayFramed) {
-  std::stringstream stream;
+  std::string bytes;
   for (int i = 0; i < 3; ++i)
-    write_frame(stream, request_json(static_cast<std::uint64_t>(i), "status"));
-  obs::Json frame;
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(read_frame(stream, frame));
-    EXPECT_EQ(frame.at("id").as_u64(), static_cast<std::uint64_t>(i));
-  }
-  EXPECT_FALSE(read_frame(stream, frame));
+    bytes += encode_frame(request_json(static_cast<std::uint64_t>(i),
+                                       "status"));
+  FrameDecoder d;
+  const std::vector<obs::Json> frames = feed_all(d, bytes);
+  ASSERT_EQ(frames.size(), 3u);
+  for (int i = 0; i < 3; ++i)
+    EXPECT_EQ(frames[i].at("id").as_u64(), static_cast<std::uint64_t>(i));
+  EXPECT_TRUE(d.idle());
 }
 
 TEST(SvcProto, OversizedFrameRejectedBeforeAllocation) {
-  // Header advertises 1 GiB; the cap must fire on the header alone.
-  std::stringstream stream;
-  stream << (std::size_t(1) << 30) << "\n";
+  // The cap fires on the header alone: just over it, and 1 GiB.
+  for (const std::size_t length : {kMaxFrameBytes + 1, std::size_t(1) << 30}) {
+    FrameDecoder d;
+    EXPECT_THROW(feed_all(d, std::to_string(length) + "\n"), ProtocolError)
+        << length;
+  }
+}
+
+TEST(SvcProto, DecoderBuffersOnlyArrivedPayload) {
+  // The header promises kMaxFrameBytes - 1 bytes and one has arrived: the
+  // decoder holds that one byte, not a buffer sized by the promise.
+  const std::size_t length = kMaxFrameBytes - 1;
+  FrameDecoder d;
+  EXPECT_TRUE(feed_all(d, std::to_string(length) + "\n\"").empty());
+  EXPECT_EQ(d.buffered(), 1u);
+  EXPECT_FALSE(d.idle());
+  // The rest of a JSON string of exactly `length` bytes trickles in.
+  const std::string chunk(64 * 1024, 'x');
   obs::Json frame;
-  EXPECT_THROW(read_frame(stream, frame, 1024), ProtocolError);
+  for (std::size_t left = length - 2; left > 0;) {
+    const std::size_t n = std::min(left, chunk.size());
+    d.feed(chunk.data(), n);
+    left -= n;
+    ASSERT_FALSE(d.next(frame));
+  }
+  d.feed("\"", 1);
+  ASSERT_TRUE(d.next(frame));
+  EXPECT_EQ(frame.as_string().size(), length - 2);
+  EXPECT_TRUE(d.idle());
 }
 
 TEST(SvcProto, TruncatedPayloadIsAnError) {
-  std::stringstream stream;
-  stream << "100\n{\"partial\":true}";
-  obs::Json frame;
-  EXPECT_THROW(read_frame(stream, frame), ProtocolError);
+  // The header promises 100 bytes and the stream ends after 16: the
+  // decoder still holds part of a frame, which at end of stream is a
+  // truncated frame (FdTransport::read turns it into a ProtocolError).
+  FrameDecoder d;
+  EXPECT_TRUE(feed_all(d, "100\n{\"partial\":true}").empty());
+  EXPECT_EQ(d.buffered(), 16u);
+  EXPECT_FALSE(d.idle());
+  // A header cut before its '\n' is held too.
+  FrameDecoder h;
+  EXPECT_TRUE(feed_all(h, "10").empty());
+  EXPECT_FALSE(h.idle());
 }
 
 TEST(SvcProto, MalformedHeaderIsAnError) {
-  std::stringstream stream("not-a-length\n{}");
-  obs::Json frame;
-  EXPECT_THROW(read_frame(stream, frame), ProtocolError);
+  FrameDecoder d;
+  EXPECT_THROW(feed_all(d, "not-a-length\n{}"), ProtocolError);
 }
 
 TEST(SvcProto, DeeplyNestedPayloadRejected) {
@@ -163,10 +206,120 @@ TEST(SvcProto, DeeplyNestedPayloadRejected) {
   // the parser into the ground.
   std::string bomb(kMaxFrameDepth + 1, '[');
   bomb.append(kMaxFrameDepth + 1, ']');
-  std::stringstream stream;
-  stream << bomb.size() << "\n" << bomb;
+  FrameDecoder d;
+  EXPECT_THROW(feed_all(d, std::to_string(bomb.size()) + "\n" + bomb),
+               ProtocolError);
+}
+
+// ---- decoder fuzz ---------------------------------------------------------
+// The decoder's contract under hostile input, however the bytes are
+// chunked: whole frames, then at most one ProtocolError — never another
+// exception type, never a crash, never a frame that was not sent.
+
+struct Decoded {
+  std::vector<obs::Json> frames;
+  bool error = false;
+
+  bool operator==(const Decoded&) const = default;
+};
+
+/// Feeds `bytes` in chunks of 1..`max_chunk` bytes (whole when 0), popping
+/// frames after every chunk, until the first ProtocolError.
+Decoded decode_chunked(const std::string& bytes, Rng& rng,
+                       std::size_t max_chunk) {
+  Decoded out;
+  FrameDecoder d;
   obs::Json frame;
-  EXPECT_THROW(read_frame(stream, frame), ProtocolError);
+  try {
+    for (std::size_t pos = 0; pos < bytes.size();) {
+      const std::size_t left = bytes.size() - pos;
+      const std::size_t n =
+          max_chunk == 0 ? left : 1 + rng.below(std::min(left, max_chunk));
+      d.feed(bytes.data() + pos, n);
+      pos += n;
+      while (d.next(frame)) out.frames.push_back(frame);
+    }
+  } catch (const ProtocolError&) {
+    out.error = true;
+  }
+  return out;
+}
+
+TEST(SvcProtoFuzz, AnyChunkingDecodesLikeOneFeed) {
+  std::vector<obs::Json> sent;
+  {
+    obs::Json load = obs::Json::object();
+    load["name"] = "fuzz";
+    load["text"] = bench_text(test_circuit());
+    sent.push_back(request_json(1, "load_circuit", std::move(load)));
+    sent.push_back(request_json(2, "status"));
+    obs::Json nested = obs::Json::object();
+    nested["patterns"] = obs::Json::array();
+    nested["patterns"].push_back("0101");
+    nested["seed"] = std::uint64_t(7);
+    nested["deadline"] = 0.25;
+    sent.push_back(request_json(3, "fsim", std::move(nested)));
+    sent.push_back(make_error(4, ErrorCode::kOverloaded, "retry \"later\""));
+  }
+  std::string valid;
+  std::vector<std::size_t> frame_end;  // offset just past each frame
+  for (const obs::Json& f : sent) {
+    valid += encode_frame(f);
+    frame_end.push_back(valid.size());
+  }
+  const auto frames_before = [&](std::size_t offset) {
+    return static_cast<std::size_t>(
+        std::upper_bound(frame_end.begin(), frame_end.end(), offset) -
+        frame_end.begin());
+  };
+
+  Rng rng(0xf4a3e5);
+  const std::string alphabet = "0123456789\n\n{}[]\",: x\xff";
+  for (int round = 0; round < 300; ++round) {
+    std::string input;
+    std::size_t intact = 0;  // sent frames the input carries unchanged
+    bool truncation = false;
+    switch (round % 3) {
+      case 0:  // random garbage
+        for (std::size_t i = rng.below(400); i > 0; --i)
+          input += alphabet[rng.below(alphabet.size())];
+        break;
+      case 1: {  // truncation
+        const std::size_t cut = rng.below(valid.size() + 1);
+        input = valid.substr(0, cut);
+        intact = frames_before(cut);
+        truncation = true;
+        break;
+      }
+      default: {  // bit flips
+        input = valid;
+        std::size_t first = input.size();
+        for (int f = 1 + static_cast<int>(rng.below(4)); f > 0; --f) {
+          const std::size_t at = rng.below(input.size());
+          input[at] ^= static_cast<char>(1u << rng.below(7));
+          first = std::min(first, at);
+        }
+        intact = frames_before(first);
+        break;
+      }
+    }
+    const Decoded whole = decode_chunked(input, rng, 0);
+    const Decoded chunked =
+        decode_chunked(input, rng, 1 + rng.below(input.size() + 1));
+    ASSERT_EQ(chunked, whole) << "round " << round;
+    ASSERT_GE(whole.frames.size(), intact) << "round " << round;
+    for (std::size_t i = 0; i < intact; ++i)
+      ASSERT_EQ(whole.frames[i], sent[i]) << "round " << round;
+    if (truncation) {
+      // A prefix of a valid stream is never an error, and yields exactly
+      // the frames it holds whole.
+      EXPECT_FALSE(whole.error) << "round " << round;
+      EXPECT_EQ(whole.frames.size(), intact) << "round " << round;
+    }
+  }
+  // And the intact stream, byte at a time and whole.
+  EXPECT_EQ(decode_chunked(valid, rng, 1).frames, sent);
+  EXPECT_EQ(decode_chunked(valid, rng, 0).frames, sent);
 }
 
 TEST(SvcProto, RequestValidation) {
@@ -232,16 +385,21 @@ TEST(SvcProto, ResponseShapes) {
 // ---- transports -----------------------------------------------------------
 
 TEST(SvcTransport, StreamRoundTrip) {
-  std::stringstream wire;
-  StreamTransport writer(wire, wire);
-  writer.write(request_json(1, "status"));
-  writer.write(request_json(2, "status"));
+  // One pipe, both of its ends on one FdTransport(read_fd, write_fd):
+  // frames come back in order, and close() — of the write fd — is a clean
+  // end of stream after them.
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  FdTransport pipe(fds[0], fds[1]);
+  pipe.write(request_json(1, "status"));
+  pipe.write(request_json(2, "status"));
+  pipe.close();
   obs::Json frame;
-  ASSERT_TRUE(writer.read(frame));
+  ASSERT_TRUE(pipe.read(frame));
   EXPECT_EQ(frame.at("id").as_u64(), 1u);
-  ASSERT_TRUE(writer.read(frame));
+  ASSERT_TRUE(pipe.read(frame));
   EXPECT_EQ(frame.at("id").as_u64(), 2u);
-  EXPECT_FALSE(writer.read(frame));
+  EXPECT_FALSE(pipe.read(frame));
 }
 
 TEST(SvcTransport, DuplexDeliversBothDirectionsInOrder) {
@@ -865,28 +1023,30 @@ TEST(SvcServer, ConcurrentClientsEveryJobGetsExactlyOneTerminal) {
 #define SKIP_WITHOUT_FAILPOINTS() \
   if (!fp::kEnabled) GTEST_SKIP() << "built with CWATPG_FAILPOINTS=OFF"
 
-/// Satellite regression for StreamTransport partial I/O: the byte-level
-/// duplex delivers at most one 256-byte refill per read call, so any
-/// frame larger than that arrives through genuine short reads that
-/// read_exact must loop over (the bug class where istream::read sets
-/// failbit on a merely-paused source).
+/// The byte duplex is a real socketpair: a frame larger than one 64 KiB
+/// read arrives in pieces the decoder must reassemble, with the next
+/// frame's bytes carried over behind it.
 TEST(SvcTransport, ByteDuplexDeliversLargeFramesThroughShortReads) {
   DuplexPair pair = make_byte_duplex();
   obs::Json params = obs::Json::object();
-  params["blob"] = std::string(10000, 'x');  // ~40 refills per frame
+  params["blob"] = std::string(100 * 1024, 'x');
   const obs::Json msg = request_json(1, "load_circuit", std::move(params));
 
-  pair.client->write(msg);
-  pair.client->write(msg);  // back-to-back: framing must not drift
+  std::thread writer([&] {
+    pair.client->write(msg);
+    pair.client->write(msg);  // back-to-back: framing must not drift
+  });
   obs::Json got;
   ASSERT_TRUE(pair.server->read(got));
   EXPECT_EQ(got, msg);
   ASSERT_TRUE(pair.server->read(got));
   EXPECT_EQ(got, msg);
+  writer.join();
 
-  pair.server->write(msg);  // and the other direction
+  writer = std::thread([&] { pair.server->write(msg); });  // other way
   ASSERT_TRUE(pair.client->read(got));
   EXPECT_EQ(got, msg);
+  writer.join();
 
   pair.client->close();
   EXPECT_FALSE(pair.server->read(got)) << "close must surface as EOF";
@@ -898,34 +1058,28 @@ TEST(SvcProto, ShortReadAndShortWriteFailpointsRoundTrip) {
   params["blob"] = std::string(997, 'y');
   const obs::Json msg = request_json(9, "status", std::move(params));
 
-  std::stringstream stream;
-  {
-    // Writer dribbles 5 bytes per write pass; reader gets at most 3 per
-    // read pass. The codec must still deliver the frame intact.
-    fp::ScheduleScope fps(
-        "svc.proto.write.short=always@5;svc.proto.read.short=always@3");
-    write_frame(stream, msg);
-    obs::Json got;
-    ASSERT_TRUE(read_frame(stream, got));
-    EXPECT_EQ(got, msg);
-  }
+  DuplexPair pair = make_byte_duplex();
+  // Writer dribbles 5 bytes per send; reader gets at most 3 per read. The
+  // frame must still arrive intact.
+  fp::ScheduleScope fps(
+      "svc.proto.write.short=always@5;net.read.short=always@3");
+  pair.client->write(msg);
+  obs::Json got;
+  ASSERT_TRUE(pair.server->read(got));
+  EXPECT_EQ(got, msg);
+  const auto counts = fp::Registry::instance().counts();
+  EXPECT_EQ(counts.at("svc.proto.write.short").fires, 1u);  // one per frame
+  EXPECT_GE(counts.at("net.read.short").fires, encode_frame(msg).size() / 3);
 }
 
 TEST(SvcProto, CorruptLengthAndMidFrameEofFailpointsThrow) {
   SKIP_WITHOUT_FAILPOINTS();
-  const obs::Json msg = request_json(3, "status");
-  obs::Json got;
-  {
-    std::stringstream stream;
-    write_frame(stream, msg);
-    fp::ScheduleScope fps("svc.proto.read.corrupt_len=once");
-    EXPECT_THROW(read_frame(stream, got), ProtocolError);
-  }
-  {
-    std::stringstream stream;
-    write_frame(stream, msg);
-    fp::ScheduleScope fps("svc.proto.read.eof=once");
-    EXPECT_THROW(read_frame(stream, got), ProtocolError);
+  const std::string bytes = encode_frame(request_json(3, "status"));
+  for (const char* schedule :
+       {"svc.proto.read.corrupt_len=once", "svc.proto.read.eof=once"}) {
+    fp::ScheduleScope fps(schedule);
+    FrameDecoder d;
+    EXPECT_THROW(feed_all(d, bytes), ProtocolError) << schedule;
   }
 }
 
