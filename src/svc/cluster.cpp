@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <new>
 #include <optional>
 #include <span>
 #include <utility>
 
 #include "fault/fsim.hpp"
 #include "fault/tegus.hpp"
-#include "obs/report.hpp"
 #include "svc/params.hpp"
+#include "svc/server.hpp"
 #include "svc/spawn.hpp"
 #include "util/failpoint.hpp"
 
@@ -23,15 +22,34 @@ namespace {
 /// itself is released; bounds coordinator memory at high job counts.
 constexpr std::size_t kDoneJobHistory = 1024;
 
-std::uint64_t extract_id(const obs::Json& frame) {
-  if (!frame.is_object()) return 0;
-  const obs::Json* id = frame.find("id");
-  if (id == nullptr || !id->is_number()) return 0;
-  try {
-    return id->as_u64();
-  } catch (const std::exception&) {
-    return 0;
-  }
+/// The params for window [lo, hi) of a sharded job, as a worker receives
+/// them and as the in-process fallback runs them: solved speculatively (no
+/// drop-by-simulation, one thread) and reported as raw per-fault records;
+/// the coordinator's replay re-applies dropping.
+obs::Json window_params(const obs::Json& job_params, std::size_t lo,
+                        std::size_t hi) {
+  obs::Json params = job_params;
+  obs::Json range = obs::Json::array();
+  range.push_back(static_cast<std::uint64_t>(lo));
+  range.push_back(static_cast<std::uint64_t>(hi));
+  params["fault_range"] = std::move(range);
+  params["raw_outcomes"] = true;
+  params["drop_by_simulation"] = false;
+  params["threads"] = std::uint64_t(1);
+  return params;
+}
+
+/// Out-of-band cancel for worker-side request `wid`. It travels under
+/// request id 0, which the worker daemon answers inline and the owning
+/// Client's router drops as a session-level frame; Transport::write is
+/// thread-safe, so any thread may send it while a worker thread awaits.
+void send_cancel(Transport& worker, std::uint64_t wid) {
+  Request cancel;
+  cancel.id = 0;
+  cancel.kind = RequestKind::kCancel;
+  cancel.params = obs::Json::object();
+  cancel.params["job"] = wid;
+  worker.write(cancel.to_json());
 }
 
 /// True when a worker record holds a post-escalation (phase-3) outcome.
@@ -130,20 +148,21 @@ struct Cluster::JobContext {
   std::string bench_text;  ///< for lazy replication to workers
   bool sharded = false;
   bool raw_outcomes = false;  ///< client asked for per-fault records
-  Budget budget;              ///< job deadline + cancellation token
+  /// Job deadline + cancellation token. A job whose budget is exhausted
+  /// is dead: its unanswered shards are settled without running.
+  Budget budget;
   Timer timer;
 
   // -- guarded by Cluster::mutex_ --
   std::map<std::size_t, WireFaultOutcome> records;  ///< first ingest wins
   std::size_t shards_total = 0;
-  std::size_t shards_accounted = 0;
+  std::size_t shards_accounted = 0;  ///< written by settle() alone
   std::uint64_t redispatches = 0;
   /// Poison windows this job had executed in-process, named in the
   /// response so an operator can see exactly which fault range kept
   /// killing workers.
   std::vector<std::pair<std::size_t, std::size_t>> poison_windows;
   std::uint64_t inprocess_faults = 0;
-  bool cancelled = false;
   bool terminal_sent = false;
 };
 
@@ -202,47 +221,36 @@ void Cluster::serve(Transport& transport) {
   }
 
   fp::DomainScope reader_domain("cluster.reader");
-  bool got_shutdown = false;
-  std::uint64_t shutdown_id = 0;
-  obs::Json frame;
-  while (!got_shutdown) {
-    bool have_frame = false;
-    try {
-      have_frame = transport.read(frame);
-    } catch (const ProtocolError& e) {
-      transport.write(make_error(0, ErrorCode::kBadRequest, e.what()));
-      break;
-    }
-    if (!have_frame) break;  // peer closed: implicit shutdown, no response
-    try {
-      const Request req = Request::from_json(frame);
-      metrics_
-          .counter(std::string("cluster.requests.") + to_string(req.kind))
-          .add(1);
-      switch (req.kind) {
-        case RequestKind::kLoadCircuit:
-          handle_load_circuit(req);
-          break;
-        case RequestKind::kRunAtpg:
-        case RequestKind::kFsim:
-          admit_job(req);
-          break;
-        case RequestKind::kStatus:
-          handle_status(req);
-          break;
-        case RequestKind::kCancel:
-          handle_cancel(req);
-          break;
-        case RequestKind::kShutdown:
-          got_shutdown = true;
-          shutdown_id = req.id;
-          break;
+  const auto handle = [&](const Request& req) {
+    switch (req.kind) {
+      case RequestKind::kLoadCircuit: {
+        std::shared_ptr<const CircuitEntry> entry;
+        obs::Json response = load_circuit(registry_, req, &entry);
+        if (entry != nullptr)
+          keep_bench_text(entry->key, req.params.find("text")->as_string());
+        transport.write(response);
+        break;
       }
-    } catch (const ProtocolError& e) {
-      transport.write(
-          make_error(extract_id(frame), ErrorCode::kBadRequest, e.what()));
+      case RequestKind::kRunAtpg:
+      case RequestKind::kFsim:
+        admit_job(req);
+        break;
+      case RequestKind::kStatus:
+        handle_status(req);
+        break;
+      case RequestKind::kCancel:
+        handle_cancel(req);
+        break;
+      case RequestKind::kShutdown:
+        break;  // handle_frame returns its id instead
     }
-  }
+  };
+  const std::optional<std::uint64_t> shutdown_id =
+      read_requests(transport, [&](const obs::Json& frame) {
+        return handle_frame(
+            frame, metrics_, "cluster.requests.", handle,
+            [&](const obs::Json& reply) { transport.write(reply); });
+      });
 
   // Drain: stop admission, let every active job reach its terminal, then
   // (for an explicit shutdown) answer LAST, mirroring Server::serve.
@@ -256,65 +264,31 @@ void Cluster::serve(Transport& transport) {
   for (const std::unique_ptr<WorkerState>& w : workers_)
     if (w->thread.joinable()) w->thread.join();
 
-  if (got_shutdown) {
+  if (shutdown_id) {
     obs::Json result = cluster_status_json();
     result["drained"] = true;
-    transport.write(make_response(shutdown_id, std::move(result)));
+    transport.write(make_response(*shutdown_id, std::move(result)));
   }
   transport.close();
 }
 
 // ---- control plane --------------------------------------------------------
 
-void Cluster::handle_load_circuit(const Request& req) {
-  std::shared_ptr<const CircuitEntry> entry;
-  bool already_loaded = false;
-  std::string text;
-  try {
-    const std::string format = [&] {
-      const obs::Json* f = req.params.find("format");
-      return f != nullptr && f->is_string() ? f->as_string()
-                                            : std::string("bench");
-    }();
-    if (format != "bench")
-      throw ProtocolError("unsupported circuit format \"" + format + "\"");
-    text = param_string_required(req.params, "text");
-    const obs::Json* name = req.params.find("name");
-    entry = registry_.load_bench(
-        text,
-        name != nullptr && name->is_string() ? name->as_string()
-                                             : std::string("circuit"),
-        &already_loaded);
-  } catch (const ProtocolError& e) {
-    transport_->write(make_error(req.id, ErrorCode::kBadRequest, e.what()));
-    return;
-  } catch (const std::bad_alloc&) {
-    transport_->write(make_error(req.id, ErrorCode::kInternal,
-                                 "out of memory while loading circuit"));
-    return;
-  } catch (const std::exception& e) {
-    transport_->write(make_error(req.id, ErrorCode::kBadRequest, e.what()));
-    return;
-  }
+void Cluster::keep_bench_text(const std::string& key, std::string text) {
   // Keep the source text for worker replication, keyed by the same
   // structural content hash the registry dedups on: re-loading an
   // identical circuit (under any name) is a no-op end to end.
-  bench_texts_[entry->key] = std::move(text);
+  bench_texts_[key] = std::move(text);
   // This load may have pushed older entries past the registry's LRU
   // budget; drop their replication texts too, or the text cache grows
   // without bound with distinct circuits. (An evicted key cannot be
   // admitted anyway, and already-admitted jobs carry their own copy.)
   for (auto it = bench_texts_.begin(); it != bench_texts_.end();) {
-    if (it->first != entry->key && !registry_.retains(it->first))
+    if (it->first != key && !registry_.retains(it->first))
       it = bench_texts_.erase(it);
     else
       ++it;
   }
-  obs::Json result = obs::Json::object();
-  result["circuit"] = entry->to_json();
-  result["already_loaded"] = already_loaded;
-  result["registry"] = registry_.stats().to_json();
-  transport_->write(make_response(req.id, std::move(result)));
 }
 
 void Cluster::handle_status(const Request& req) {
@@ -390,33 +364,26 @@ void Cluster::handle_cancel(const Request& req) {
   const std::uint64_t id = param_u64(req.params, "job", 0);
 
   const char* state = "unknown";
-  std::shared_ptr<JobContext> job;
-  bool forwarded_queued = false;
+  std::vector<Shard> unrun;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (const auto it = jobs_.find(id); it != jobs_.end()) {
-      job = it->second;
-      if (job->terminal_sent) {
-        state = "done";
-        job = nullptr;
-      } else {
-        state = "cancelling";
-        job->cancelled = true;
-        job->budget.cancel();
-        // Queued shards of this job will never run; account them now so
-        // the partial terminal fires as soon as in-flight shards return.
-        for (auto it2 = queue_.begin(); it2 != queue_.end();) {
-          if (it2->job == job) {
-            ++job->shards_accounted;
-            if (!job->sharded) forwarded_queued = true;
-            it2 = queue_.erase(it2);
-          } else {
-            ++it2;
-          }
+    const auto it = jobs_.find(id);
+    if (it != jobs_.end() && !it->second->terminal_sent) {
+      state = "cancelling";
+      const std::shared_ptr<JobContext>& job = it->second;
+      job->budget.cancel();
+      // Its queued shards will never run: take them off the queue now, so
+      // the terminal fires as soon as the in-flight shards return.
+      for (auto q = queue_.begin(); q != queue_.end();) {
+        if (q->job == job) {
+          unrun.push_back(std::move(*q));
+          q = queue_.erase(q);
+        } else {
+          ++q;
         }
-        fan_out_cancel_locked(id);
       }
-    } else if (done_jobs_.count(id) != 0) {
+      fan_out_cancel_locked(id);
+    } else if (it != jobs_.end() || done_jobs_.count(id) != 0) {
       state = "done";
     }
   }
@@ -424,41 +391,16 @@ void Cluster::handle_cancel(const Request& req) {
   result["job"] = id;
   result["state"] = state;
   transport_->write(make_response(req.id, std::move(result)));
-
-  if (job == nullptr) return;
-  if (!job->sharded) {
-    // A forwarded job swept out of the queue above will never reach a
-    // worker, and pop_shard's cancelled-while-queued path cannot fire for
-    // a shard that is no longer queued — its terminal must come from
-    // here, or the client hangs and the shutdown drain deadlocks.
-    if (forwarded_queued)
-      fail_job(job, ErrorCode::kCancelled, "cancelled while queued");
-    return;
-  }
-  bool complete = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    complete =
-        !job->terminal_sent && job->shards_accounted >= job->shards_total;
-  }
-  if (complete) finish_sharded_job(job);
+  for (Shard& shard : unrun) settle(shard, ShardEnd{Fate::kUnrun});
 }
 
 void Cluster::fan_out_cancel_locked(std::uint64_t job_id) {
-  // Out-of-band cancel: the worker threads own their Clients (and are
-  // blocked awaiting shard replies), so the reader writes the cancel frame
-  // directly — Transport::write is thread-safe — under request id 0,
-  // which the worker daemon answers inline and the owning Client's router
-  // drops as a session-level frame.
+  // The worker threads own their Clients (and are blocked awaiting shard
+  // replies), so the reader writes the cancel frame directly.
   for (const std::unique_ptr<WorkerState>& w : workers_) {
     if (!w->alive || w->inflight_job != job_id || w->inflight_worker_id == 0)
       continue;
-    Request cancel;
-    cancel.id = 0;
-    cancel.kind = RequestKind::kCancel;
-    cancel.params = obs::Json::object();
-    cancel.params["job"] = w->inflight_worker_id;
-    w->endpoint.transport->write(cancel.to_json());
+    send_cancel(*w->endpoint.transport, w->inflight_worker_id);
   }
 }
 
@@ -579,30 +521,13 @@ Cluster::Pop Cluster::pop_shard(Shard& out, double idle_timeout_seconds) {
     if (queue_.empty()) return Pop::kClosed;  // closed and drained
     out = std::move(queue_.front());
     queue_.pop_front();
-    const std::shared_ptr<JobContext> job = out.job;
-    if (job->terminal_sent) {
-      out = Shard{};
-      continue;
-    }
-    if (job->cancelled || job->budget.exhausted()) {
-      if (job->sharded) {
-        // Never dispatched: account it so the partial terminal can fire.
-        ++job->shards_accounted;
-        const bool complete = job->shards_accounted >= job->shards_total;
-        if (complete) {
-          lock.unlock();
-          finish_sharded_job(job);
-          lock.lock();
-        }
-      } else {
-        lock.unlock();
-        fail_job(job, ErrorCode::kCancelled, "cancelled while queued");
-        lock.lock();
-      }
-      out = Shard{};
-      continue;
-    }
-    return Pop::kShard;
+    if (!out.job->terminal_sent && !out.job->budget.exhausted())
+      return Pop::kShard;
+    // Its job is dead or already answered: never dispatch it.
+    lock.unlock();
+    settle(out, ShardEnd{Fate::kUnrun});
+    lock.lock();
+    out = Shard{};
   }
 }
 
@@ -780,7 +705,8 @@ bool Cluster::run_shard(WorkerState& w, Client& client, Shard& shard) {
   // worker saw it). The worker is fine; the shard takes the redispatch
   // path.
   if (CWATPG_FAILPOINT("cluster.dispatch.drop")) {
-    redispatch(w, shard, "dispatch dropped (cluster.dispatch.drop)");
+    settle(shard, ShardEnd{Fate::kFailed, &w,
+                           "dispatch dropped (cluster.dispatch.drop)"});
     return true;
   }
   // Failpoint: fault K is poison — every dispatch of a window containing
@@ -806,24 +732,16 @@ bool Cluster::run_shard(WorkerState& w, Client& client, Shard& shard) {
       const obs::Json reply = client.call("load_circuit", std::move(p));
       const obs::Json* ok = reply.find("ok");
       if (ok == nullptr || !ok->is_bool() || !ok->as_bool()) {
-        redispatch(w, shard, "worker rejected load_circuit");
+        settle(shard, ShardEnd{Fate::kFailed, &w,
+                               "worker rejected load_circuit"});
         return true;
       }
       w.loaded.insert(job->circuit->key);
     }
 
-    obs::Json params = job->params;
-    if (job->sharded) {
-      obs::Json range = obs::Json::array();
-      range.push_back(static_cast<std::uint64_t>(shard.lo));
-      range.push_back(static_cast<std::uint64_t>(shard.hi));
-      params["fault_range"] = std::move(range);
-      // Workers solve their windows speculatively and report raw per-
-      // fault records; the coordinator's replay re-applies dropping.
-      params["raw_outcomes"] = true;
-      params["drop_by_simulation"] = false;
-      params["threads"] = std::uint64_t(1);
-    }
+    obs::Json params = job->sharded
+                           ? window_params(job->params, shard.lo, shard.hi)
+                           : job->params;
     double deadline = 0.0;
     if (job->budget.has_deadline())
       deadline = std::max(job->budget.remaining_seconds(), 1e-3);
@@ -844,17 +762,10 @@ bool Cluster::run_shard(WorkerState& w, Client& client, Shard& shard) {
       w.inflight_job = job->id;
       // Close the submit/cancel race: a cancel that fanned out before we
       // registered the in-flight id missed this worker.
-      send_cancel_now = job->cancelled;
+      send_cancel_now = job->budget.cancelled();
     }
     metrics_.counter("cluster.shards").add(1);
-    if (send_cancel_now) {
-      Request cancel;
-      cancel.id = 0;
-      cancel.kind = RequestKind::kCancel;
-      cancel.params = obs::Json::object();
-      cancel.params["job"] = wid;
-      w.endpoint.transport->write(cancel.to_json());
-    }
+    if (send_cancel_now) send_cancel(*w.endpoint.transport, wid);
 
     std::optional<obs::Json> reply = client.await(wid);
     {
@@ -867,92 +778,30 @@ bool Cluster::run_shard(WorkerState& w, Client& client, Shard& shard) {
     // lost with it. Exercises un-acked-shard redispatch end to end.
     if (CWATPG_FAILPOINT("cluster.worker.eof")) return false;
 
-    const obs::Json* okf = reply->find("ok");
-    const bool ok = okf != nullptr && okf->is_bool() && okf->as_bool();
-
     if (!job->sharded) {
-      // Forwarded whole job: the worker's reply IS the terminal; only the
-      // correlation ids are rewritten to the coordinator's.
-      if (claim_terminal(job)) {
-        obs::Json terminal = std::move(*reply);
-        terminal["id"] = job->id;
-        if (ok) {
-          obs::Json& result = terminal["result"];
-          if (result.is_object() && result.find("job") != nullptr)
-            result["job"] = job->id;
-        }
-        send_terminal(job, std::move(terminal));
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++w.shards_completed;
-        if (ok)
-          ++stats_.jobs_completed;
-        else
-          ++stats_.jobs_failed;
-      }
+      // Forwarded whole job: the worker's reply, ok or not, IS the
+      // terminal.
+      ShardEnd end{Fate::kAnswered, &w};
+      end.reply = std::move(*reply);
+      settle(shard, std::move(end));
       return true;
     }
-
-    bool partial_ok = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      partial_ok = job->cancelled;
-    }
-    partial_ok = partial_ok || job->budget.exhausted();
-
-    if (!ok) {
-      if (partial_ok) {
-        // The worker never ran the cancelled shard ("cancelled" error):
-        // a zero-record accounting keeps the partial-terminal math right.
-        bool complete = false;
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          if (job->terminal_sent) return true;
-          ++job->shards_accounted;
-          ++w.shards_completed;
-          complete = job->shards_accounted >= job->shards_total;
-        }
-        if (complete) finish_sharded_job(job);
-        return true;
-      }
+    const obs::Json* okf = reply->find("ok");
+    if (okf == nullptr || !okf->is_bool() || !okf->as_bool()) {
       const obs::Json* error = reply->find("error");
       const obs::Json* message =
           error != nullptr && error->is_object() ? error->find("message")
                                                  : nullptr;
-      redispatch(w, shard,
-                 message != nullptr && message->is_string()
-                     ? message->as_string()
-                     : std::string("worker rejected the shard"));
+      settle(shard, ShardEnd{Fate::kFailed, &w,
+                             message != nullptr && message->is_string()
+                                 ? message->as_string()
+                                 : std::string("worker rejected the shard")});
       return true;
     }
-
     const obs::Json* result = reply->find("result");
-    if (result == nullptr || !result->is_object()) {
-      redispatch(w, shard, "malformed shard reply");
-      return true;
-    }
-    const obs::Json* interrupted_f = result->find("interrupted");
-    const bool interrupted = interrupted_f != nullptr &&
-                             interrupted_f->is_bool() &&
-                             interrupted_f->as_bool();
-    if (interrupted && !partial_ok) {
-      // The worker hit its own shard deadline (wedged or overloaded):
-      // nothing was lost, but the records are not a complete window —
-      // discard them and hand the shard to a survivor.
-      redispatch(w, shard, "worker returned an interrupted shard");
-      return true;
-    }
-    if (!ingest_reply(shard, *result, interrupted || partial_ok)) {
-      redispatch(w, shard, "incomplete shard reply");
-      return true;
-    }
-    bool complete = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++w.shards_completed;
-      complete = !job->terminal_sent &&
-                 job->shards_accounted >= job->shards_total;
-    }
-    if (complete) finish_sharded_job(job);
+    settle(shard, result != nullptr && result->is_object()
+                      ? read_window(shard, *result, &w)
+                      : ShardEnd{Fate::kFailed, &w, "malformed shard reply"});
     return true;
   } catch (const ProtocolError&) {
     // Torn frames from a dying peer: the stream is unusable.
@@ -963,80 +812,52 @@ bool Cluster::run_shard(WorkerState& w, Client& client, Shard& shard) {
   }
 }
 
-bool Cluster::ingest_reply(Shard& shard, const obs::Json& result,
-                           bool partial_ok) {
-  const std::shared_ptr<JobContext>& job = shard.job;
-  const obs::Json* raw = result.find("raw");
-  std::vector<WireFaultOutcome> decoded;
-  if (raw != nullptr && raw->is_array()) {
-    decoded.reserve(raw->size());
+Cluster::ShardEnd Cluster::read_window(const Shard& shard,
+                                       const obs::Json& result,
+                                       WorkerState* worker) {
+  // A live job needs the whole window; a dead job's partial window is
+  // merged as far as it got.
+  const bool live = !shard.job->budget.exhausted();
+  const obs::Json* interrupted = result.find("interrupted");
+  if (live && interrupted != nullptr && interrupted->is_bool() &&
+      interrupted->as_bool())
+    // The run hit its own shard deadline (a wedged or overloaded worker):
+    // nothing was lost, but the records are not a complete window.
+    return ShardEnd{Fate::kFailed, worker,
+                    "worker returned an interrupted shard"};
+  ShardEnd end{Fate::kAnswered, worker};
+  if (const obs::Json* raw = result.find("raw");
+      raw != nullptr && raw->is_array()) {
+    const std::size_t num_inputs = shard.job->circuit->net.inputs().size();
     for (const obs::Json& r : raw->items()) {
-      WireFaultOutcome rec =
-          decode_fault_outcome(r, job->circuit->net.inputs().size());
+      WireFaultOutcome rec = decode_fault_outcome(r, num_inputs);
       if (rec.index < shard.lo || rec.index >= shard.hi)
         continue;  // out-of-window record: not this shard's to report
-      decoded.push_back(std::move(rec));
+      end.records.push_back(std::move(rec));
     }
   }
-  // Failpoint: the merge sees a truncated reply — drop the tail half of
-  // the records. The completeness check below must catch it and route the
-  // shard through redispatch, never into a silently-partial merge.
-  if (CWATPG_FAILPOINT("cluster.merge.partial") && decoded.size() > 1)
-    decoded.resize(decoded.size() / 2);
-  if (!partial_ok) {
-    // A complete window reports every index in [lo, hi) exactly once, in
-    // ascending order (the server emits them that way).
-    if (decoded.size() != shard.hi - shard.lo) return false;
-    for (std::size_t k = 0; k < decoded.size(); ++k)
-      if (decoded[k].index != shard.lo + k) return false;
+  // Failpoint: the merge sees a truncated worker reply — drop the tail
+  // half of the records. The completeness check below must catch it and
+  // route the shard through redispatch, never into a silently-partial
+  // merge.
+  if (worker != nullptr && CWATPG_FAILPOINT("cluster.merge.partial") &&
+      end.records.size() > 1)
+    end.records.resize(end.records.size() / 2);
+  if (!live) {
+    // An interrupted run's unreached fault says nothing.
+    std::erase_if(end.records, [](const WireFaultOutcome& rec) {
+      return rec.outcome.status == fault::FaultStatus::kUndetermined;
+    });
+    return end;
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (job->terminal_sent) return true;  // late reply; terminal already out
-  for (WireFaultOutcome& rec : decoded) {
-    if (partial_ok && rec.outcome.status == fault::FaultStatus::kUndetermined)
-      continue;  // an interrupted worker's unreached fault says nothing
-    job->records.emplace(rec.index, std::move(rec));  // first ingest wins
-  }
-  ++job->shards_accounted;
-  return true;
-}
-
-void Cluster::redispatch(WorkerState& w, Shard& shard,
-                         const std::string& cause) {
-  const std::shared_ptr<JobContext> job = shard.job;
-  bool fail = false;
-  bool finish_partial = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (job->terminal_sent) return;
-    if (job->cancelled || job->budget.exhausted()) {
-      // Re-running a dead job's shard is wasted work: account it empty.
-      ++job->shards_accounted;
-      finish_partial = job->sharded &&
-                       job->shards_accounted >= job->shards_total;
-    } else if (shard.attempt >= 1) {
-      fail = true;
-    } else {
-      ++shard.attempt;
-      ++stats_.redispatched;
-      ++job->redispatches;
-      ++w.redispatches_caused;
-      queue_.push_front(shard);
-    }
-  }
-  if (fail) {
-    fail_job(job, ErrorCode::kInternal,
-             "shard [" + std::to_string(shard.lo) + ", " +
-                 std::to_string(shard.hi) + ") failed after redispatch: " +
-                 cause);
-    return;
-  }
-  if (finish_partial) {
-    finish_sharded_job(job);
-    return;
-  }
-  metrics_.counter("cluster.redispatched").add(1);
-  queue_cv_.notify_all();
+  // A complete window reports every index in [lo, hi) exactly once, in
+  // ascending order (the server emits them that way).
+  bool complete = end.records.size() == shard.hi - shard.lo;
+  for (std::size_t k = 0; complete && k < end.records.size(); ++k)
+    complete = end.records[k].index == shard.lo + k;
+  if (!complete)
+    return ShardEnd{Fate::kFailed, worker, "incomplete shard reply"};
+  return end;
 }
 
 void Cluster::on_worker_death(WorkerState& w, Shard& shard) {
@@ -1070,12 +891,12 @@ void Cluster::on_worker_death(WorkerState& w, Shard& shard) {
     std::lock_guard<std::mutex> lock(mutex_);
     w.supervisor.note_death(last_exit);
   }
-  // The un-acked shard is the worker's forfeit: hand it to a survivor,
-  // or — when this window has now killed two generations — route it
-  // through poison-shard quarantine. Runs BEFORE the all-dead sweep so a
-  // poison window's in-process fallback can still complete its job even
-  // when this was the last worker.
-  if (shard.job != nullptr) forfeit_shard(w, shard);
+  // The un-acked shard is the worker's forfeit. Settled BEFORE the
+  // all-dead sweep so a poison window's in-process fallback can still
+  // complete its job even when this was the last worker.
+  if (shard.job != nullptr)
+    settle(shard, ShardEnd{Fate::kDied, &w,
+                           "worker \"" + w.endpoint.name + "\" died"});
   if (all_dead) fail_all_jobs("all cluster workers died");
 }
 
@@ -1084,175 +905,170 @@ void Cluster::fail_all_jobs(const std::string& why) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [id, job] : jobs_)
-      if (!job->terminal_sent) victims.push_back(job);
+      if (claim_terminal_locked(*job)) victims.push_back(job);
   }
   for (const std::shared_ptr<JobContext>& job : victims)
-    fail_job(job, ErrorCode::kInternal, why);
+    send_terminal(job, make_error(job->id, ErrorCode::kInternal, why));
 }
 
-void Cluster::forfeit_shard(WorkerState& w, Shard& shard) {
+void Cluster::run_window_inprocess(Shard& shard) {
+  metrics_.counter("cluster.supervisor.inprocess_windows").add(1);
+  JobContext& job = *shard.job;
+  ShardEnd end;
+  try {
+    // The worker's own job function on the worker's own params, under the
+    // job's budget (cancellation and the deadline reach the fallback as
+    // they would a worker), read back like a worker reply. Per-fault
+    // classification is a pure function of (circuit, fault, options), so
+    // WHERE the window runs cannot leak into the records.
+    end = read_window(
+        shard,
+        run_atpg_request(job.id, *job.circuit,
+                         window_params(job.params, shard.lo, shard.hi),
+                         job.budget, metrics_),
+        nullptr);
+  } catch (const std::exception& e) {
+    end = ShardEnd{Fate::kFailed, nullptr, e.what()};
+  }
+  settle(shard, std::move(end));
+}
+
+// ---- the settle step ------------------------------------------------------
+
+void Cluster::settle(Shard& shard, ShardEnd end) {
   const std::shared_ptr<JobContext> job = shard.job;
-  if (!job->sharded) {
-    // A forwarded whole job keeps the one-redispatch budget: there is no
-    // window to bisect and no raw-record merge path to complete it
-    // in-process.
-    redispatch(w, shard, "worker \"" + w.endpoint.name + "\" died");
-    return;
-  }
-  ++shard.deaths;
-  if (shard.deaths >= 2) {
-    quarantine_shard(w, shard);
-    return;
-  }
-  bool finish_partial = false;
+  enum class Next { kWait, kRequeue, kBisect, kInProcess, kTerminal };
+  Next next = Next::kWait;
+  obs::Json terminal;  // kTerminal: an error decided under the lock
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    // (1) Late work: the job's terminal is already out.
     if (job->terminal_sent) return;
-    if (job->cancelled || job->budget.exhausted()) {
-      // Re-running a dead job's shard is wasted work: account it empty.
+
+    if (end.fate == Fate::kAnswered) {
+      if (end.worker != nullptr) ++end.worker->shards_completed;
+      for (WireFaultOutcome& rec : end.records)
+        job->records.emplace(rec.index, std::move(rec));  // first ingest wins
+      if (end.worker == nullptr) {
+        // The coordinator ran this poison window itself.
+        const std::size_t width = shard.hi - shard.lo;
+        job->poison_windows.emplace_back(shard.lo, shard.hi);
+        job->inprocess_faults += width;
+        ++stats_.poison_windows;
+        stats_.inprocess_faults += width;
+        metrics_.counter("cluster.supervisor.inprocess_faults").add(width);
+      }
       ++job->shards_accounted;
-      finish_partial = job->shards_accounted >= job->shards_total;
+    } else if (end.fate == Fate::kUnrun || job->budget.exhausted()) {
+      // (2) A dead job's unanswered shard: running it is wasted work. A
+      // sharded job counts it done with no records, for the partial
+      // merge; a forwarded job has no result to send but `cancelled`.
+      if (job->sharded) {
+        ++job->shards_accounted;
+      } else {
+        next = Next::kTerminal;
+        terminal = make_error(job->id, ErrorCode::kCancelled,
+                              end.fate == Fate::kUnrun
+                                  ? "cancelled while queued"
+                                  : "cancelled before its worker answered");
+      }
+    } else if (end.fate == Fate::kDied && job->sharded) {
+      // (3) A window that killed two worker generations is poison: never
+      // dispatched whole again — bisected to isolate the offending fault
+      // range, or, at width 1, run by the coordinator itself.
+      ++shard.deaths;
+      next = shard.deaths < 2 ? Next::kRequeue
+             : shard.hi - shard.lo > 1 ? Next::kBisect
+                                       : Next::kInProcess;
+    } else if (shard.attempt == 0 && shard.deaths < 2) {
+      // A benign failure (or a forwarded job's dead worker) gets one
+      // redispatch. A poison window failing in-process has nowhere left
+      // to run.
+      ++shard.attempt;
+      next = Next::kRequeue;
     } else {
+      next = Next::kTerminal;
+      terminal = make_error(
+          job->id, ErrorCode::kInternal,
+          "shard [" + std::to_string(shard.lo) + ", " +
+              std::to_string(shard.hi) + ") failed " +
+              (shard.deaths >= 2 ? "in-process: " : "after redispatch: ") +
+              end.cause);
+    }
+
+    if (next == Next::kRequeue) {
       ++stats_.redispatched;
       ++job->redispatches;
-      ++w.redispatches_caused;
+      if (end.worker != nullptr) ++end.worker->redispatches_caused;
       queue_.push_front(shard);
-    }
-  }
-  if (finish_partial) {
-    finish_sharded_job(job);
-    return;
-  }
-  metrics_.counter("cluster.redispatched").add(1);
-  queue_cv_.notify_all();
-}
-
-void Cluster::quarantine_shard(WorkerState& w, Shard& shard) {
-  (void)w;
-  const std::shared_ptr<JobContext> job = shard.job;
-  if (shard.hi - shard.lo <= 1) {
-    // The residual minimal window IS the poison: run it on the
-    // coordinator, whose process we trust with it (and whose death would
-    // end the job anyway).
-    run_window_inprocess(job, shard.lo, shard.hi);
-    return;
-  }
-  // Bisect to isolate the offending fault range. Each half starts with
-  // one inherited death so a half that kills again quarantines (or
-  // bisects further) immediately; the innocent half completes normally on
-  // the next worker. Convergence is O(log window) extra deaths.
-  bool queued = false;
-  bool finish_partial = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (job->terminal_sent) return;
-    if (job->cancelled || job->budget.exhausted()) {
-      ++job->shards_accounted;
-      finish_partial = job->shards_accounted >= job->shards_total;
-    } else {
+    } else if (next == Next::kBisect) {
+      // Each half starts with one inherited death, so a half that kills
+      // again quarantines (or bisects further) immediately; the innocent
+      // half completes normally on the next worker. Convergence is
+      // O(log window) extra deaths.
       const std::size_t mid = shard.lo + (shard.hi - shard.lo) / 2;
-      Shard left;
-      left.job = job;
+      Shard right = shard;
+      right.lo = mid;
+      right.attempt = 0;
+      right.deaths = 1;
+      Shard left = right;
       left.lo = shard.lo;
       left.hi = mid;
-      left.deaths = 1;
-      Shard right;
-      right.job = job;
-      right.lo = mid;
-      right.hi = shard.hi;
-      right.deaths = 1;
       ++job->shards_total;  // one window became two
       queue_.push_front(std::move(right));
       queue_.push_front(std::move(left));
-      queued = true;
+    } else if (next == Next::kWait &&
+               job->shards_accounted >= job->shards_total) {
+      // (4) Every shard is accounted for: the job is complete.
+      next = Next::kTerminal;
     }
+    if (next == Next::kTerminal) claim_terminal_locked(*job);
   }
-  if (finish_partial) {
-    finish_sharded_job(job);
-    return;
-  }
-  if (queued) {
-    metrics_.counter("cluster.supervisor.bisections").add(1);
-    queue_cv_.notify_all();
-  }
-}
 
-void Cluster::run_window_inprocess(const std::shared_ptr<JobContext>& job,
-                                   std::size_t lo, std::size_t hi) {
-  metrics_.counter("cluster.supervisor.inprocess_windows").add(1);
-  std::vector<WireFaultOutcome> decoded;
-  bool interrupted = false;
-  try {
-    // Exactly the request a worker would have received for this window
-    // (run_shard's dispatch params), through the same shared
-    // params→options mapping. Per-fault classification is a pure function
-    // of (circuit, fault, options), so WHERE the window runs cannot leak
-    // into the records.
-    obs::Json params = job->params;
-    obs::Json range = obs::Json::array();
-    range.push_back(static_cast<std::uint64_t>(lo));
-    range.push_back(static_cast<std::uint64_t>(hi));
-    params["fault_range"] = std::move(range);
-    params["raw_outcomes"] = true;
-    params["drop_by_simulation"] = false;
-    params["threads"] = std::uint64_t(1);
-    fault::AtpgOptions opts = atpg_options_from_params(params, *job->circuit);
-    // The job's own budget: cancellation and the deadline propagate into
-    // the fallback exactly as they would into a worker-side run.
-    opts.budget = &job->budget;
-    const fault::AtpgResult result =
-        fault::run_atpg(job->circuit->net, opts);
-    interrupted = result.interrupted;
-    const std::size_t num_inputs = job->circuit->net.inputs().size();
-    decoded.reserve(opts.fault_subset.size());
-    for (const std::size_t fi : opts.fault_subset) {
-      const fault::FaultOutcome& o = result.outcomes[fi];
-      const fault::Pattern* test =
-          o.status == fault::FaultStatus::kDetected && o.has_test()
-              ? &result.tests[o.test()]
-              : nullptr;
-      // Round-trip through the wire codec so the record is field-for-field
-      // what ingesting the same worker reply would have stored.
-      decoded.push_back(
-          decode_fault_outcome(encode_fault_outcome(fi, o, test), num_inputs));
-    }
-  } catch (const std::exception& e) {
-    fail_job(job, ErrorCode::kInternal,
-             "in-process fallback for poison shard [" + std::to_string(lo) +
-                 ", " + std::to_string(hi) + ") failed: " + e.what());
-    return;
+  switch (next) {
+    case Next::kWait:
+      return;
+    case Next::kRequeue:
+      metrics_.counter("cluster.redispatched").add(1);
+      queue_cv_.notify_all();
+      return;
+    case Next::kBisect:
+      metrics_.counter("cluster.supervisor.bisections").add(1);
+      queue_cv_.notify_all();
+      return;
+    case Next::kInProcess:
+      run_window_inprocess(shard);
+      return;
+    case Next::kTerminal:
+      break;
   }
-  bool complete = false;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (job->terminal_sent) return;
-    const bool partial_ok =
-        job->cancelled || interrupted || job->budget.exhausted();
-    for (WireFaultOutcome& rec : decoded) {
-      if (partial_ok &&
-          rec.outcome.status == fault::FaultStatus::kUndetermined)
-        continue;  // an interrupted run's unreached fault says nothing
-      job->records.emplace(rec.index, std::move(rec));  // first ingest wins
+  if (!terminal.is_object() && !job->sharded) {
+    // A forwarded job's terminal is its worker's reply, re-addressed to
+    // the coordinator's job id.
+    terminal = std::move(end.reply);
+    terminal["id"] = job->id;
+    if (const obs::Json* result = terminal.find("result");
+        result != nullptr && result->is_object() &&
+        result->find("job") != nullptr)
+      terminal["result"]["job"] = job->id;
+  } else if (!terminal.is_object()) {
+    try {
+      terminal = make_response(job->id, merge_records(*job));
+    } catch (const std::exception& e) {
+      terminal = make_error(job->id, ErrorCode::kInternal,
+                            std::string("cluster merge failed: ") + e.what());
     }
-    ++job->shards_accounted;
-    job->poison_windows.emplace_back(lo, hi);
-    job->inprocess_faults += hi - lo;
-    ++stats_.poison_windows;
-    stats_.inprocess_faults += hi - lo;
-    complete = job->shards_accounted >= job->shards_total;
   }
-  metrics_.counter("cluster.supervisor.inprocess_faults").add(hi - lo);
-  if (complete) finish_sharded_job(job);
+  send_terminal(job, std::move(terminal));
 }
 
 // ---- job termination ------------------------------------------------------
 
-bool Cluster::claim_terminal(const std::shared_ptr<JobContext>& job) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (job->terminal_sent) return false;
-  job->terminal_sent = true;
+bool Cluster::claim_terminal_locked(JobContext& job) {
+  if (job.terminal_sent) return false;
+  job.terminal_sent = true;
   for (auto it = queue_.begin(); it != queue_.end();) {
-    if (it->job == job)
+    if (it->job.get() == &job)
       it = queue_.erase(it);
     else
       ++it;
@@ -1262,9 +1078,15 @@ bool Cluster::claim_terminal(const std::shared_ptr<JobContext>& job) {
 
 void Cluster::send_terminal(const std::shared_ptr<JobContext>& job,
                             obs::Json response) {
+  const obs::Json* ok = response.find("ok");
+  const bool completed = ok != nullptr && ok->is_bool() && ok->as_bool();
+  metrics_.counter(completed ? "cluster.jobs.completed"
+                             : "cluster.jobs.failed")
+      .add(1);
   transport_->write(response);
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    ++(completed ? stats_.jobs_completed : stats_.jobs_failed);
     if (active_jobs_ > 0) --active_jobs_;
     // The terminal is out: release the job's heavy state (the per-fault
     // records map, and the jobs_ entry pinning the whole context) so a
@@ -1287,41 +1109,6 @@ void Cluster::send_terminal(const std::shared_ptr<JobContext>& job,
   drain_cv_.notify_all();
 }
 
-void Cluster::fail_job(const std::shared_ptr<JobContext>& job, ErrorCode code,
-                       const std::string& message) {
-  if (!claim_terminal(job)) return;
-  metrics_.counter("cluster.jobs.failed").add(1);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.jobs_failed;
-  }
-  send_terminal(job, make_error(job->id, code, message));
-}
-
-void Cluster::finish_sharded_job(const std::shared_ptr<JobContext>& job) {
-  if (!claim_terminal(job)) return;
-  obs::Json result;
-  try {
-    result = merge_records(*job);
-  } catch (const std::exception& e) {
-    metrics_.counter("cluster.jobs.failed").add(1);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.jobs_failed;
-    }
-    send_terminal(job, make_error(job->id, ErrorCode::kInternal,
-                                  std::string("cluster merge failed: ") +
-                                      e.what()));
-    return;
-  }
-  metrics_.counter("cluster.jobs.completed").add(1);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.jobs_completed;
-  }
-  send_terminal(job, make_response(job->id, std::move(result)));
-}
-
 obs::Json Cluster::merge_records(JobContext& job) {
   const CircuitEntry& circuit = *job.circuit;
   // Replay the exact single-node pipeline over the recorded outcomes: the
@@ -1337,7 +1124,7 @@ obs::Json Cluster::merge_records(JobContext& job) {
                                    std::span<const fault::Pattern> ps) {
     return fault::fault_simulate(circuit.net, fs, ps);
   };
-  fault::AtpgResult result =
+  const fault::AtpgResult result =
       fault::detail::run_atpg_pipeline(circuit.net, opts, provider, simulate);
 
   obs::ReportOptions ropts;
@@ -1345,42 +1132,9 @@ obs::Json Cluster::merge_records(JobContext& job) {
   ropts.engine = "cluster";
   ropts.threads = stats_.workers;
   ropts.seed = opts.seed;
-  const obs::RunReport report =
-      obs::build_run_report(circuit.net, result, ropts);
-
-  obs::Json j = obs::Json::object();
-  j["job"] = job.id;
-  j["circuit"] = circuit.key;
-  j["engine"] = "cluster";
-  j["threads"] = static_cast<std::uint64_t>(stats_.workers);
-  j["interrupted"] = result.interrupted;
-  j["stop"] = to_string(job.budget.poll());
-  j["faults"] = static_cast<std::uint64_t>(result.outcomes.size());
-  j["num_detected"] = static_cast<std::uint64_t>(result.num_detected);
-  j["num_untestable"] = static_cast<std::uint64_t>(result.num_untestable);
-  j["num_aborted"] = static_cast<std::uint64_t>(result.num_aborted);
-  j["num_undetermined"] =
-      static_cast<std::uint64_t>(result.num_undetermined);
-  j["coverage"] = result.fault_coverage();
-  j["efficiency"] = result.fault_efficiency();
-  obs::Json tests = obs::Json::array();
-  for (const fault::Pattern& test : result.tests)
-    tests.push_back(encode_bits(test));
-  j["tests"] = std::move(tests);
-  if (job.raw_outcomes) {
-    obs::Json raw = obs::Json::array();
-    for (std::size_t fi = 0; fi < result.outcomes.size(); ++fi) {
-      const fault::FaultOutcome& o = result.outcomes[fi];
-      const fault::Pattern* test =
-          o.status == fault::FaultStatus::kDetected && o.has_test()
-              ? &result.tests[o.test()]
-              : nullptr;
-      raw.push_back(encode_fault_outcome(fi, o, test));
-    }
-    j["raw"] = std::move(raw);
-  }
-  j["run_report"] = report.to_json();
-  j["wall_seconds"] = job.timer.seconds();
+  obs::Json j = atpg_result_json(job.id, circuit, result, {}, ropts,
+                                 job.budget.poll(), job.raw_outcomes,
+                                 job.timer);
   {
     std::lock_guard<std::mutex> lock(mutex_);
     obs::Json cluster = obs::Json::object();

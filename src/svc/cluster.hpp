@@ -3,8 +3,10 @@
 //
 // A Cluster speaks exactly the protocol a single svc::Server does — same
 // request kinds, same response shapes — so a client cannot tell (except by
-// `status`) whether it is talking to one daemon or a fleet. What changes
-// is the execution plan for a per-fault `run_atpg` job:
+// `status`) whether it is talking to one daemon or a fleet. It reads
+// requests, registers circuits and builds `run_atpg` results with the
+// Server's own code (svc/server.hpp). What changes is the execution plan
+// for a per-fault `run_atpg` job:
 //
 //   admit ─▶ shard the collapsed fault-id space into contiguous
 //            [k·S, (k+1)·S) windows ─▶ dispatch windows to workers
@@ -34,18 +36,29 @@
 // respawn events in a sliding window) is quarantined loudly instead of
 // spinning. A shard window that killed two worker generations is POISON:
 // it is never dispatched a third time whole — it is bisected to isolate
-// the offending fault range, and the residual window is executed
-// in-process by the coordinator through the identical params→options
-// mapping and wire codec, so its records — and therefore the
-// ReplayProvider merge — are byte-identical to what a worker would have
-// produced, and the job completes with the poison window named in the
-// response instead of failing. First-ingest-wins per fault index makes
-// redispatch safe against the original reply racing in late: no fault is
-// lost, none is double-counted. Health, generations and redispatch
-// counts surface through `status` and the cluster.* / cluster.supervisor.*
-// metrics; benign shard failures (dropped dispatch, truncated reply)
-// still fail the job after one redispatch — something is wrong with the
-// work, not the worker.
+// the offending fault range, and the residual window is run in-process by
+// the coordinator through the worker's own job function
+// (svc::run_atpg_request) and read back like a worker reply, so its
+// records — and therefore the ReplayProvider merge — are a worker's by
+// construction, and the job completes with the poison window named in
+// the response instead of failing. Benign shard failures (dropped
+// dispatch, truncated reply) fail the job after one redispatch —
+// something is wrong with the work, not the worker. Health, generations
+// and redispatch counts surface through `status` and the cluster.* /
+// cluster.supervisor.* metrics.
+//
+// Shard lifecycle: every shard reaches ONE settle step whenever it leaves
+// the dispatch queue or a worker — reply ingested, benign failure, worker
+// death, poison bisection, in-process window, or cancelled while queued.
+// settle() drops late work for a job whose terminal is out; settles a
+// dead job's (cancelled, or past its deadline) unanswered shard one way —
+// done with no records for a sharded job's partial merge, `cancelled`
+// for a forwarded job; otherwise requeues the shard under the
+// one-redispatch budget, bisects it, or runs it in-process; and is the
+// only place that detects completion and sends a job's terminal (the one
+// other terminal is the all-workers-dead sweep). First-ingest-wins per
+// fault index makes redispatch safe against the original reply racing in
+// late: no fault is lost, none is double-counted.
 //
 // Jobs whose per-fault outcomes are NOT independent of solver-call history
 // (engine "incremental") and `fsim` jobs are forwarded whole to one
@@ -158,6 +171,7 @@ class Cluster {
 
  private:
   struct JobContext;
+  struct WorkerState;
 
   /// One contiguous fault-id window of one job, queued for dispatch.
   /// A forwarded (non-sharded) job travels as a single whole-job shard.
@@ -169,6 +183,27 @@ class Cluster {
     /// Worker generations this exact window killed. Two deaths make the
     /// window poison: bisect, or execute the residual in-process.
     int deaths = 0;
+  };
+
+  /// How a shard left the dispatch queue or a worker: settle()'s input.
+  enum class Fate {
+    kAnswered,  ///< its records (a forwarded job: the reply) are in
+    kFailed,    ///< benign failure: the work is suspect, not the worker
+    kDied,      ///< the worker holding it died
+    kUnrun,     ///< taken off the queue unrun: its job is dead
+  };
+  struct ShardEnd {
+    explicit ShardEnd(Fate f = Fate::kUnrun, WorkerState* w = nullptr,
+                      std::string why = {})
+        : fate(f), worker(w), cause(std::move(why)) {}
+
+    Fate fate;
+    /// The worker that answered or failed it; null when the coordinator
+    /// ran it in-process or it never left the queue.
+    WorkerState* worker;
+    std::string cause;  ///< kFailed / kDied: why, for the job's error
+    std::vector<WireFaultOutcome> records;  ///< kAnswered, sharded job
+    obs::Json reply;  ///< kAnswered, forwarded job: the worker's terminal
   };
 
   struct WorkerState {
@@ -189,7 +224,8 @@ class Cluster {
   enum class Pop { kShard, kIdle, kClosed };
 
   // -- reader side --
-  void handle_load_circuit(const Request& req);
+  /// Keeps a loaded circuit's bench text for replication to workers.
+  void keep_bench_text(const std::string& key, std::string text);
   void handle_status(const Request& req);
   void handle_cancel(const Request& req);
   void admit_job(const Request& req);
@@ -212,41 +248,44 @@ class Cluster {
   /// `status` `last_exit` ("signal 9", "exit 127", "eof" when there is no
   /// process to reap).
   std::string reap_slot(WorkerState& w, bool kill_first);
-  /// Runs one shard on `w`. Returns false when the worker is dead (the
-  /// caller runs on_worker_death).
+  /// Runs one shard on `w` and settles it. Returns false when the worker
+  /// is dead (the caller runs on_worker_death, which settles the shard).
   bool run_shard(WorkerState& w, Client& client, Shard& shard);
-  /// Re-queues `shard` after a BENIGN failure (or fails its job when the
-  /// one-redispatch budget is spent). `cause` names the failure.
-  void redispatch(WorkerState& w, Shard& shard, const std::string& cause);
+  /// Reads a window's records out of a `run_atpg` result: a reply from
+  /// `worker`, or the in-process run's when `worker` is null. A live
+  /// job's window must be complete — every index in [lo, hi) once, in
+  /// order, not interrupted — or it is a benign failure; a dead job's
+  /// window is taken as far as it got.
+  ShardEnd read_window(const Shard& shard, const obs::Json& result,
+                       WorkerState* worker);
   void on_worker_death(WorkerState& w, Shard& shard);
-  /// A worker died holding `shard`: re-queue it, or — after a second
-  /// death — route it through poison-shard quarantine.
-  void forfeit_shard(WorkerState& w, Shard& shard);
-  /// Poison window: bisect to isolate the offending fault range, or (at
-  /// width 1 / the residual window) execute it in-process.
-  void quarantine_shard(WorkerState& w, Shard& shard);
-  /// Executes [lo, hi) on the coordinator itself, through the same
-  /// params→options mapping and wire codec a worker applies, and accounts
-  /// the records into the job.
-  void run_window_inprocess(const std::shared_ptr<JobContext>& job,
-                            std::size_t lo, std::size_t hi);
+  /// Runs a poison window on the coordinator through the worker's own job
+  /// function (svc::run_atpg_request) and settles what read_window makes
+  /// of its result.
+  void run_window_inprocess(Shard& shard);
   /// Fails every non-terminal job; fired when the last live-or-reviving
   /// worker is gone.
   void fail_all_jobs(const std::string& why);
-  /// Ingests one shard reply's records; returns false when the reply is
-  /// incomplete (caller redispatches).
-  bool ingest_reply(Shard& shard, const obs::Json& result, bool partial_ok);
 
   // -- job lifecycle --
   /// Blocks for the next dispatchable shard. `idle_timeout_seconds` > 0
-  /// bounds the wait (kIdle on expiry — the heartbeat tick).
+  /// bounds the wait (kIdle on expiry — the heartbeat tick). A shard of
+  /// a dead job is settled unrun instead of returned.
   Pop pop_shard(Shard& out, double idle_timeout_seconds);
-  void finish_sharded_job(const std::shared_ptr<JobContext>& job);
-  void fail_job(const std::shared_ptr<JobContext>& job, ErrorCode code,
-                const std::string& message);
-  /// Sends the terminal exactly once; returns false if one was already
-  /// sent. Also drops the job's still-queued shards.
-  bool claim_terminal(const std::shared_ptr<JobContext>& job);
+  /// The one settle step every shard reaches when it leaves the queue or
+  /// a worker. It drops late work for a job whose terminal is out;
+  /// settles a dead job's (cancelled or past its deadline) unanswered
+  /// shard one way — done with no records for a sharded job, `cancelled`
+  /// for a forwarded one; otherwise applies the fate (ingest, requeue
+  /// under the one-redispatch budget, bisect, or run in-process); and is
+  /// the only place that detects completion and sends the job's terminal
+  /// (fail_all_jobs aside).
+  void settle(Shard& shard, ShardEnd end);
+  /// Marks `job` terminal and drops its still-queued shards; false if its
+  /// terminal was already claimed. Exactly-once: the caller holds mutex_.
+  bool claim_terminal_locked(JobContext& job);
+  /// Writes a claimed job's terminal, counts it completed or failed by
+  /// its `ok`, and releases the job.
   void send_terminal(const std::shared_ptr<JobContext>& job,
                      obs::Json response);
   obs::Json merge_records(JobContext& job);

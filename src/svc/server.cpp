@@ -37,6 +37,200 @@ std::uint64_t extract_id(const obs::Json& frame) {
 
 }  // namespace
 
+// ---- request handling shared by every front end ---------------------------
+
+std::optional<std::uint64_t> handle_frame(
+    const obs::Json& frame, obs::MetricsRegistry& metrics,
+    const char* metric_prefix,
+    const std::function<void(const Request&)>& handle,
+    const std::function<void(const obs::Json&)>& reply) {
+  try {
+    const Request req = Request::from_json(frame);
+    metrics.counter(metric_prefix + std::string(to_string(req.kind))).add(1);
+    if (req.kind == RequestKind::kShutdown) return req.id;
+    handle(req);
+  } catch (const ProtocolError& e) {
+    reply(make_error(extract_id(frame), ErrorCode::kBadRequest, e.what()));
+  }
+  return std::nullopt;
+}
+
+std::optional<std::uint64_t> read_requests(
+    Transport& transport,
+    const std::function<std::optional<std::uint64_t>(const obs::Json&)>&
+        on_frame) {
+  obs::Json frame;
+  while (true) {
+    try {
+      if (!transport.read(frame)) return std::nullopt;  // peer closed
+    } catch (const ProtocolError& e) {
+      // Framing is lost — nothing later on the stream can be trusted, so
+      // report once and treat the session as closed (implicit shutdown).
+      transport.write(make_error(0, ErrorCode::kBadRequest, e.what()));
+      return std::nullopt;
+    }
+    if (const std::optional<std::uint64_t> id = on_frame(frame)) return id;
+  }
+}
+
+obs::Json load_circuit(CircuitRegistry& registry, const Request& req,
+                       std::shared_ptr<const CircuitEntry>* loaded) {
+  std::shared_ptr<const CircuitEntry> entry;
+  bool already_loaded = false;
+  try {
+    const std::string format = [&] {
+      const obs::Json* f = req.params.find("format");
+      return f != nullptr && f->is_string() ? f->as_string()
+                                            : std::string("bench");
+    }();
+    if (format != "bench")
+      throw ProtocolError("unsupported circuit format \"" + format + "\"");
+    const std::string text = param_string_required(req.params, "text");
+    const obs::Json* name = req.params.find("name");
+    entry = registry.load_bench(
+        text,
+        name != nullptr && name->is_string() ? name->as_string()
+                                             : std::string("circuit"),
+        &already_loaded);
+  } catch (const ProtocolError& e) {
+    return make_error(req.id, ErrorCode::kBadRequest, e.what());
+  } catch (const std::bad_alloc&) {
+    // Resource exhaustion is OUR failure, not a malformed request —
+    // report it as such so clients don't "fix" a valid netlist.
+    return make_error(req.id, ErrorCode::kInternal,
+                      "out of memory while loading circuit");
+  } catch (const std::exception& e) {
+    // read_bench rejects malformed netlists with ParseError — the
+    // client's input, not our bug.
+    return make_error(req.id, ErrorCode::kBadRequest, e.what());
+  }
+  if (loaded != nullptr) *loaded = entry;
+  obs::Json result = obs::Json::object();
+  result["circuit"] = entry->to_json();
+  // Idempotency ack: true when the registry already held this structural
+  // content hash, so replicated loads (the cluster coordinator sends one
+  // per worker, possibly repeatedly after failover) are observably no-ops.
+  result["already_loaded"] = already_loaded;
+  result["registry"] = registry.stats().to_json();
+  return make_response(req.id, std::move(result));
+}
+
+obs::Json run_atpg_request(std::uint64_t job, const CircuitEntry& circuit,
+                           const obs::Json& params, Budget& budget,
+                           obs::MetricsRegistry& metrics) {
+  // One shared params → options mapping (svc/params.hpp) for the server
+  // and the cluster coordinator; diverging here would silently break the
+  // cluster == single-daemon determinism contract.
+  fault::AtpgOptions opts = atpg_options_from_params(params, circuit);
+  opts.budget = &budget;
+  if (opts.engine == fault::AtpgEngine::kIncremental)
+    metrics.counter("svc.jobs.incremental").add(1);
+  const std::size_t threads =
+      static_cast<std::size_t>(param_u64(params, "threads", 1));
+  const bool raw_outcomes = param_bool(params, "raw_outcomes", false);
+
+  Timer timer;
+  fault::AtpgResult result;
+  fault::ParallelStats pstats;
+  const bool parallel = threads > 1;
+  if (parallel) {
+    fault::ParallelAtpgOptions popts;
+    popts.base = opts;
+    popts.num_threads = threads;
+    result = fault::run_atpg_parallel(circuit.net, popts, &pstats);
+  } else {
+    result = fault::run_atpg(circuit.net, opts);
+  }
+
+  obs::ReportOptions ropts;
+  ropts.label = "svc/" + circuit.key;
+  const bool incremental = opts.engine == fault::AtpgEngine::kIncremental;
+  ropts.engine = incremental ? (parallel ? "parallel-incremental"
+                                         : "incremental")
+                             : (parallel ? "parallel" : "serial");
+  ropts.threads = parallel ? threads : 1;
+  ropts.seed = opts.seed;
+  if (parallel) ropts.parallel = &pstats;
+  return atpg_result_json(job, circuit, result, opts.fault_subset, ropts,
+                          budget.poll(), raw_outcomes, timer);
+}
+
+obs::Json atpg_result_json(std::uint64_t job, const CircuitEntry& circuit,
+                           const fault::AtpgResult& result,
+                           std::span<const std::size_t> window,
+                           const obs::ReportOptions& report, StopReason stop,
+                           bool raw_outcomes, const Timer& timer) {
+  // A windowed (sharded) run reports over its window, not the full fault
+  // list: out-of-window faults were never this shard's responsibility, so
+  // counting them as undetermined would poison coverage/efficiency and
+  // make per-shard run_reports non-mergeable.
+  fault::AtpgResult pruned;
+  const fault::AtpgResult* view = &result;
+  if (!window.empty()) {
+    pruned.outcomes.reserve(window.size());
+    for (const std::size_t fi : window)
+      pruned.outcomes.push_back(result.outcomes[fi]);
+    pruned.tests = result.tests;
+    pruned.num_detected = result.num_detected;
+    pruned.num_untestable = result.num_untestable;
+    pruned.num_aborted = result.num_aborted;
+    pruned.num_unreachable = result.num_unreachable;
+    pruned.num_escalated = result.num_escalated;
+    pruned.num_undetermined = 0;
+    for (const fault::FaultOutcome& o : pruned.outcomes)
+      if (o.status == fault::FaultStatus::kUndetermined)
+        ++pruned.num_undetermined;
+    pruned.interrupted = result.interrupted;
+    pruned.wall_seconds = result.wall_seconds;
+    view = &pruned;
+  }
+  const obs::RunReport run_report =
+      obs::build_run_report(circuit.net, *view, report);
+
+  obs::Json j = obs::Json::object();
+  j["job"] = job;
+  j["circuit"] = circuit.key;
+  j["engine"] = report.engine;
+  j["threads"] = static_cast<std::uint64_t>(report.threads);
+  j["interrupted"] = view->interrupted;
+  j["stop"] = to_string(stop);
+  j["faults"] = static_cast<std::uint64_t>(view->outcomes.size());
+  j["num_detected"] = static_cast<std::uint64_t>(view->num_detected);
+  j["num_untestable"] = static_cast<std::uint64_t>(view->num_untestable);
+  j["num_aborted"] = static_cast<std::uint64_t>(view->num_aborted);
+  j["num_undetermined"] =
+      static_cast<std::uint64_t>(view->num_undetermined);
+  j["coverage"] = view->fault_coverage();
+  j["efficiency"] = view->fault_efficiency();
+  obs::Json tests = obs::Json::array();
+  for (const fault::Pattern& test : result.tests)
+    tests.push_back(encode_bits(test));
+  j["tests"] = std::move(tests);
+  if (raw_outcomes) {
+    // Per-fault records keyed by collapsed-fault index — the cluster
+    // coordinator's merge input. Every in-scope index is present (drops
+    // and undetermined included).
+    obs::Json raw = obs::Json::array();
+    const std::size_t n = window.empty() ? result.outcomes.size()
+                                         : window.size();
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t fi = window.empty() ? k : window[k];
+      const fault::FaultOutcome& o = result.outcomes[fi];
+      const fault::Pattern* test =
+          o.status == fault::FaultStatus::kDetected && o.has_test()
+              ? &result.tests[o.test()]
+              : nullptr;
+      raw.push_back(encode_fault_outcome(fi, o, test));
+    }
+    j["raw"] = std::move(raw);
+  }
+  j["run_report"] = run_report.to_json();
+  j["wall_seconds"] = timer.seconds();
+  return j;
+}
+
+// ---- Server ---------------------------------------------------------------
+
 Server::Server(const ServerOptions& options)
     : options_(options),
       pool_(ThreadPool::resolve_thread_count(options.threads), options.seed),
@@ -96,33 +290,28 @@ Server::SessionId Server::open_session(std::shared_ptr<Transport> transport) {
 
 std::optional<std::uint64_t> Server::handle_session_frame(
     SessionId session, const obs::Json& frame) {
-  try {
-    const Request req = Request::from_json(frame);
-    metrics_.counter(std::string("svc.requests.") + to_string(req.kind))
-        .add(1);
-    switch (req.kind) {
-      case RequestKind::kLoadCircuit:
-        handle_load_circuit(session, req);
-        break;
-      case RequestKind::kRunAtpg:
-      case RequestKind::kFsim:
-        admit_job(session, req);
-        break;
-      case RequestKind::kStatus:
-        handle_status(session, req);
-        break;
-      case RequestKind::kCancel:
-        handle_cancel(session, req);
-        break;
-      case RequestKind::kShutdown:
-        return req.id;
-    }
-  } catch (const ProtocolError& e) {
-    write_to_session(
-        session, make_error(extract_id(frame), ErrorCode::kBadRequest,
-                            e.what()));
-  }
-  return std::nullopt;
+  return handle_frame(
+      frame, metrics_, "svc.requests.",
+      [&](const Request& req) {
+        switch (req.kind) {
+          case RequestKind::kLoadCircuit:
+            write_to_session(session, load_circuit(registry_, req));
+            break;
+          case RequestKind::kRunAtpg:
+          case RequestKind::kFsim:
+            admit_job(session, req);
+            break;
+          case RequestKind::kStatus:
+            handle_status(session, req);
+            break;
+          case RequestKind::kCancel:
+            handle_cancel(session, req);
+            break;
+          case RequestKind::kShutdown:
+            break;  // handle_frame returns its id instead
+        }
+      },
+      [&](const obs::Json& reply) { write_to_session(session, reply); });
 }
 
 void Server::close_session(SessionId session) {
@@ -176,30 +365,13 @@ void Server::serve(Transport& transport) {
   // client's, so a seeded schedule replays the same way regardless of
   // peer interleaving.
   fp::DomainScope reader_domain("svc.reader");
-  bool got_shutdown = false;
-  std::uint64_t shutdown_id = 0;
-  obs::Json frame;
-  while (!got_shutdown) {
-    bool have_frame = false;
-    try {
-      have_frame = transport.read(frame);
-    } catch (const ProtocolError& e) {
-      // Framing is lost — nothing later on the stream can be trusted, so
-      // report once and treat the session as closed (implicit shutdown).
-      transport.write(make_error(0, ErrorCode::kBadRequest, e.what()));
-      break;
-    }
-    if (!have_frame) break;  // peer closed: implicit shutdown, no response
-    if (const std::optional<std::uint64_t> id =
-            handle_session_frame(session, frame);
-        id.has_value()) {
-      got_shutdown = true;
-      shutdown_id = *id;
-    }
-  }
+  const std::optional<std::uint64_t> shutdown_id =
+      read_requests(transport, [&](const obs::Json& frame) {
+        return handle_session_frame(session, frame);
+      });
 
   drain();
-  if (got_shutdown) transport.write(shutdown_response(shutdown_id));
+  if (shutdown_id) transport.write(shutdown_response(*shutdown_id));
   close_session(session);
   // Session over: close our end so the peer's reads drain buffered frames
   // and then see end-of-stream (a duplex client would otherwise block
@@ -251,49 +423,6 @@ void Server::write_to_session(SessionId session, const obs::Json& frame) {
   // writing to a closed Transport, and the reason a dead connection's
   // terminals never touch a reused fd.
   if (transport) transport->write(frame);
-}
-
-void Server::handle_load_circuit(SessionId session, const Request& req) {
-  std::shared_ptr<const CircuitEntry> entry;
-  bool already_loaded = false;
-  try {
-    const std::string format = [&] {
-      const obs::Json* f = req.params.find("format");
-      return f != nullptr && f->is_string() ? f->as_string()
-                                            : std::string("bench");
-    }();
-    if (format != "bench")
-      throw ProtocolError("unsupported circuit format \"" + format + "\"");
-    const std::string text = param_string_required(req.params, "text");
-    const obs::Json* name = req.params.find("name");
-    entry = registry_.load_bench(
-        text,
-        name != nullptr && name->is_string() ? name->as_string()
-                                             : std::string("circuit"),
-        &already_loaded);
-  } catch (const ProtocolError& e) {
-    write_to_session(session, make_error(req.id, ErrorCode::kBadRequest, e.what()));
-    return;
-  } catch (const std::bad_alloc&) {
-    // Resource exhaustion is OUR failure, not a malformed request —
-    // report it as such so clients don't "fix" a valid netlist.
-    write_to_session(session, make_error(req.id, ErrorCode::kInternal,
-                                 "out of memory while loading circuit"));
-    return;
-  } catch (const std::exception& e) {
-    // read_bench rejects malformed netlists with ParseError — the
-    // client's input, not our bug.
-    write_to_session(session, make_error(req.id, ErrorCode::kBadRequest, e.what()));
-    return;
-  }
-  obs::Json result = obs::Json::object();
-  result["circuit"] = entry->to_json();
-  // Idempotency ack: true when the registry already held this structural
-  // content hash, so replicated loads (the cluster coordinator sends one
-  // per worker, possibly repeatedly after failover) are observably no-ops.
-  result["already_loaded"] = already_loaded;
-  result["registry"] = registry_.stats().to_json();
-  write_to_session(session, make_response(req.id, std::move(result)));
 }
 
 void Server::handle_status(SessionId session, const Request& req) {
@@ -562,112 +691,8 @@ void Server::execute_job(const Job& job) {
 }
 
 obs::Json Server::run_atpg_job(const Job& job) {
-  const CircuitEntry& circuit = *job.circuit;
-  // One shared params → options mapping (svc/params.hpp) for the server
-  // and the cluster coordinator; diverging here would silently break the
-  // cluster == single-daemon determinism contract.
-  fault::AtpgOptions opts = atpg_options_from_params(job.params, circuit);
-  opts.budget = job.budget.get();
-  if (opts.engine == fault::AtpgEngine::kIncremental)
-    metrics_.counter("svc.jobs.incremental").add(1);
-  const std::size_t threads =
-      static_cast<std::size_t>(param_u64(job.params, "threads", 1));
-  const bool raw_outcomes = param_bool(job.params, "raw_outcomes", false);
-  const bool windowed = !opts.fault_subset.empty();
-
-  Timer timer;
-  fault::AtpgResult result;
-  fault::ParallelStats pstats;
-  const bool parallel = threads > 1;
-  if (parallel) {
-    fault::ParallelAtpgOptions popts;
-    popts.base = opts;
-    popts.num_threads = threads;
-    result = fault::run_atpg_parallel(circuit.net, popts, &pstats);
-  } else {
-    result = fault::run_atpg(circuit.net, opts);
-  }
-
-  // A windowed (sharded) run reports over its window, not the full fault
-  // list: out-of-window faults were never this shard's responsibility, so
-  // counting them as undetermined would poison coverage/efficiency and
-  // make per-shard run_reports non-mergeable.
-  fault::AtpgResult pruned;
-  const fault::AtpgResult* view = &result;
-  if (windowed) {
-    pruned.outcomes.reserve(opts.fault_subset.size());
-    for (const std::size_t fi : opts.fault_subset)
-      pruned.outcomes.push_back(result.outcomes[fi]);
-    pruned.tests = result.tests;
-    pruned.num_detected = result.num_detected;
-    pruned.num_untestable = result.num_untestable;
-    pruned.num_aborted = result.num_aborted;
-    pruned.num_unreachable = result.num_unreachable;
-    pruned.num_escalated = result.num_escalated;
-    pruned.num_undetermined = 0;
-    for (const fault::FaultOutcome& o : pruned.outcomes)
-      if (o.status == fault::FaultStatus::kUndetermined)
-        ++pruned.num_undetermined;
-    pruned.interrupted = result.interrupted;
-    pruned.wall_seconds = result.wall_seconds;
-    view = &pruned;
-  }
-
-  obs::ReportOptions ropts;
-  ropts.label = "svc/" + circuit.key;
-  const bool incremental = opts.engine == fault::AtpgEngine::kIncremental;
-  ropts.engine = incremental ? (parallel ? "parallel-incremental"
-                                         : "incremental")
-                             : (parallel ? "parallel" : "serial");
-  ropts.threads = parallel ? threads : 1;
-  ropts.seed = opts.seed;
-  if (parallel) ropts.parallel = &pstats;
-  const obs::RunReport report =
-      obs::build_run_report(circuit.net, *view, ropts);
-
-  obs::Json j = obs::Json::object();
-  j["job"] = job.request_id;
-  j["circuit"] = circuit.key;
-  j["engine"] = ropts.engine;
-  j["threads"] = static_cast<std::uint64_t>(ropts.threads);
-  j["interrupted"] = view->interrupted;
-  j["stop"] = to_string(job.budget->poll());
-  j["faults"] = static_cast<std::uint64_t>(view->outcomes.size());
-  j["num_detected"] = static_cast<std::uint64_t>(view->num_detected);
-  j["num_untestable"] = static_cast<std::uint64_t>(view->num_untestable);
-  j["num_aborted"] = static_cast<std::uint64_t>(view->num_aborted);
-  j["num_undetermined"] =
-      static_cast<std::uint64_t>(view->num_undetermined);
-  j["coverage"] = view->fault_coverage();
-  j["efficiency"] = view->fault_efficiency();
-  obs::Json tests = obs::Json::array();
-  for (const fault::Pattern& test : result.tests)
-    tests.push_back(encode_bits(test));
-  j["tests"] = std::move(tests);
-  if (raw_outcomes) {
-    // Per-fault records keyed by collapsed-fault index — the cluster
-    // coordinator's merge input. Every in-scope index is present (drops
-    // and undetermined included) so the receiver can tell "complete
-    // reply" from "truncated reply" by counting.
-    obs::Json raw = obs::Json::array();
-    auto encode_one = [&](std::size_t fi) {
-      const fault::FaultOutcome& o = result.outcomes[fi];
-      const fault::Pattern* test =
-          o.status == fault::FaultStatus::kDetected && o.has_test()
-              ? &result.tests[o.test()]
-              : nullptr;
-      raw.push_back(encode_fault_outcome(fi, o, test));
-    };
-    if (windowed) {
-      for (const std::size_t fi : opts.fault_subset) encode_one(fi);
-    } else {
-      for (std::size_t fi = 0; fi < result.outcomes.size(); ++fi)
-        encode_one(fi);
-    }
-    j["raw"] = std::move(raw);
-  }
-  j["run_report"] = report.to_json();
-  j["wall_seconds"] = timer.seconds();
+  obs::Json j = run_atpg_request(job.request_id, *job.circuit, job.params,
+                                 *job.budget, metrics_);
   j["queue"] = queue_.stats().to_json();
   j["registry"] = registry_.stats().to_json();
   return j;

@@ -56,22 +56,85 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
+#include "obs/report.hpp"
 #include "svc/journal.hpp"
 #include "svc/proto.hpp"
 #include "svc/queue.hpp"
 #include "svc/registry.hpp"
 #include "svc/transport.hpp"
 #include "util/threadpool.hpp"
+#include "util/timer.hpp"
 
 namespace cwatpg::svc {
+
+// ---- request handling shared by every front end ---------------------------
+//
+// svc::Server and svc::Cluster speak the same protocol, so they share the
+// code that reads requests, registers circuits and runs and reports
+// `run_atpg` jobs. Only the scheduling differs.
+
+/// Feeds one inbound frame through the request pipeline: validates it as
+/// a Request, counts it under `<metric_prefix><kind>` and hands it to
+/// `handle`. A ProtocolError from validation or from `handle` is answered
+/// through `reply` with `bad_request`, under the frame's id when that id
+/// is well-formed. Returns the id of a `shutdown` request (which `handle`
+/// never sees); nullopt for every other frame.
+std::optional<std::uint64_t> handle_frame(
+    const obs::Json& frame, obs::MetricsRegistry& metrics,
+    const char* metric_prefix,
+    const std::function<void(const Request&)>& handle,
+    const std::function<void(const obs::Json&)>& reply);
+
+/// Reads frames from `transport` and passes each to `on_frame` until it
+/// returns a `shutdown` request's id, which is returned. Returns nullopt
+/// when the peer closes (implicit shutdown) or the framing breaks; a
+/// framing error is answered once under id 0, since nothing later on the
+/// stream can be trusted.
+std::optional<std::uint64_t> read_requests(
+    Transport& transport,
+    const std::function<std::optional<std::uint64_t>(const obs::Json&)>&
+        on_frame);
+
+/// Answers a `load_circuit` request against `registry`: the response
+/// frame, a result or a `bad_request` / `internal` error. `*loaded`, when
+/// given, receives the registered entry (null on error).
+obs::Json load_circuit(CircuitRegistry& registry, const Request& req,
+                       std::shared_ptr<const CircuitEntry>* loaded = nullptr);
+
+/// Runs one `run_atpg` request on `circuit` under `budget` and returns its
+/// result, keys `job` through `wall_seconds`. The `deadline_seconds`
+/// param is the caller's to arm on `budget`. This is the one `run_atpg`
+/// job body: a Server runs every such job through it, and the cluster
+/// coordinator runs a poison window through it in-process, so that
+/// window's records are a worker's by construction. Throws ProtocolError
+/// on ill-typed params.
+obs::Json run_atpg_request(std::uint64_t job, const CircuitEntry& circuit,
+                           const obs::Json& params, Budget& budget,
+                           obs::MetricsRegistry& metrics);
+
+/// The `run_atpg` result, keys `job` through `wall_seconds` in wire order,
+/// for a served run and for the cluster's merged one. `window` is a
+/// windowed run's fault subset (empty = every fault): the counts, the run
+/// report and `raw` then cover only those faults, so per-shard results
+/// never count another shard's faults as undetermined. `raw` lists one
+/// record per covered fault, in index order, when `raw_outcomes` is set;
+/// the receiver can tell a complete reply from a truncated one by
+/// counting. `wall_seconds` is read from `timer` last.
+obs::Json atpg_result_json(std::uint64_t job, const CircuitEntry& circuit,
+                           const fault::AtpgResult& result,
+                           std::span<const std::size_t> window,
+                           const obs::ReportOptions& report, StopReason stop,
+                           bool raw_outcomes, const Timer& timer);
 
 struct ServerOptions {
   /// Pool workers == max concurrently executing jobs. 0 = auto
@@ -213,7 +276,6 @@ class Server {
   };
 
   // -- reader-side handlers (all write their own response) --
-  void handle_load_circuit(SessionId session, const Request& req);
   void handle_status(SessionId session, const Request& req);
   void handle_cancel(SessionId session, const Request& req);
   void admit_job(SessionId session, const Request& req);

@@ -10,7 +10,18 @@
 namespace cwatpg {
 
 namespace {
-thread_local std::size_t tls_worker_index = ThreadPool::kNotAWorker;
+
+/// The pool that owns the calling thread and the thread's index in it.
+/// Every "is the caller one of my workers?" check compares `pool` against
+/// `this`: a worker of pool A calling into pool B is an outside thread to
+/// B (a served parallel run_atpg drives its own pool from a server pool
+/// worker).
+struct WorkerSlot {
+  const ThreadPool* pool = nullptr;
+  std::size_t index = ThreadPool::kNotAWorker;
+};
+thread_local WorkerSlot tls_worker;
+
 }  // namespace
 
 struct ThreadPool::Worker {
@@ -30,7 +41,7 @@ std::size_t ThreadPool::default_thread_count() {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-std::size_t ThreadPool::worker_index() { return tls_worker_index; }
+std::size_t ThreadPool::worker_index() { return tls_worker.index; }
 
 std::vector<ThreadPool::WorkerTelemetry> ThreadPool::telemetry() const {
   std::vector<WorkerTelemetry> out(workers_.size());
@@ -62,10 +73,9 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::submit(Task task) {
-  const std::size_t self = tls_worker_index;
   std::size_t target;
-  if (self != kNotAWorker && self < workers_.size()) {
-    target = self;
+  if (tls_worker.pool == this) {
+    target = tls_worker.index;
   } else {
     // Round-robin from outside the pool; next_target_ lives behind mutex_
     // anyway because we must take it to bump queued_.
@@ -114,7 +124,7 @@ bool ThreadPool::try_steal(std::size_t index, Task& task) {
 }
 
 void ThreadPool::worker_loop(std::size_t index) {
-  tls_worker_index = index;
+  tls_worker = WorkerSlot{this, index};
   for (;;) {
     Task task;
     bool stolen = false;
@@ -145,7 +155,7 @@ void ThreadPool::worker_loop(std::size_t index) {
 }
 
 void ThreadPool::wait_idle() {
-  assert(tls_worker_index == kNotAWorker &&
+  assert(tls_worker.pool != this &&
          "wait_idle() called from inside the pool");
   std::unique_lock<std::mutex> lock(mutex_);
   idle_cv_.wait(lock, [&] { return pending_ == 0; });
@@ -160,7 +170,7 @@ void ThreadPool::wait_idle() {
 void ThreadPool::parallel_for(
     std::size_t begin, std::size_t end, std::size_t grain,
     const std::function<void(std::size_t, std::size_t)>& body) {
-  assert(tls_worker_index == kNotAWorker &&
+  assert(tls_worker.pool != this &&
          "parallel_for() called from inside the pool");
   if (begin >= end) return;
   if (grain == 0) grain = 1;

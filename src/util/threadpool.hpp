@@ -13,7 +13,9 @@
 // Thread-safe: submit() may be called concurrently from any thread,
 // including from inside a running task. wait_idle() and parallel_for()
 // must be called from OUTSIDE the pool (a worker blocking on the pool's
-// own completion would deadlock); this is asserted in debug builds.
+// own completion would deadlock); this is asserted in debug builds. A
+// worker of ANOTHER pool is outside: a task may drive a private pool of
+// its own, as a served parallel run_atpg does on a server pool worker.
 #pragma once
 
 #include <condition_variable>
@@ -78,8 +80,8 @@ class ThreadPool {
   /// wait_idle(); the pool stays usable afterwards.
   void wait_idle();
 
-  /// Index of the calling pool worker in [0, size()), or kNotAWorker when
-  /// called from a thread this pool does not own.
+  /// Index of the calling thread in the pool that owns it, in [0, size())
+  /// of that pool, or kNotAWorker on a thread no pool owns.
   static std::size_t worker_index();
 
   /// Per-worker executed/steal counts, indexed by worker id. Safe to call

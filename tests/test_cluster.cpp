@@ -11,6 +11,7 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -618,11 +619,21 @@ TEST(Cluster, ClientFaultRangeIsForwardedWhole) {
   EXPECT_EQ(resp.at("result").at("raw").size(), 5u);
 }
 
-TEST(Cluster, StatusTracksJobsAndCancelIsSafeAtAnyPhase) {
+/// Submits a job, cancels it at once, and reads frames until both the
+/// cancel ack and the job's terminal are in, with failpoint `schedule`
+/// armed ("" = none). Whichever way the race lands — and whatever the
+/// schedule does to the job's shards (a redispatch, a worker death, a
+/// poison window's bisection or in-process run) — there is exactly one
+/// terminal, a later `status` says "done", and the drain finishes.
+void expect_cancel_is_safe_at_any_phase(const std::string& schedule,
+                                        bool supervised) {
   const net::Network n = test_circuit();
-  ClusterOptions options;
+  std::optional<fp::ScheduleScope> fps;
+  if (!schedule.empty()) fps.emplace(schedule);
+  ClusterOptions options =
+      supervised ? supervised_options(4) : ClusterOptions{};
   options.shard_size = 4;
-  ClusterFixture fx(2, options);
+  ClusterFixture fx(2, options, supervised);
   const std::string key = fx.load(n);
 
   obs::Json unknown_params = obs::Json::object();
@@ -662,10 +673,63 @@ TEST(Cluster, StatusTracksJobsAndCancelIsSafeAtAnyPhase) {
     EXPECT_EQ(terminal.at("error").at("code").as_string(), "cancelled");
   }
 
+  // The next frame answers the status request: no second terminal.
   obs::Json done_params = obs::Json::object();
   done_params["job"] = job;
   obs::Json done = fx.client.call("status", done_params);
   EXPECT_EQ(done.at("result").at("state").as_string(), "done");
+
+  obs::Json drained = fx.client.call("shutdown");
+  EXPECT_TRUE(drained.at("result").at("drained").as_bool()) << drained.dump();
+}
+
+TEST(Cluster, StatusTracksJobsAndCancelIsSafeAtAnyPhase) {
+  expect_cancel_is_safe_at_any_phase("", /*supervised=*/false);
+  if (!fp::kEnabled) return;
+  // Cancel combined with each way a shard can fail: a benign failure
+  // (redispatch), a worker death (forfeit and respawn), and a poison
+  // window (bisection down to the in-process fallback).
+  for (const char* schedule :
+       {"cluster.dispatch.drop=once", "cluster.worker.eof=once",
+        "cluster.shard.poison=always@0"}) {
+    SCOPED_TRACE(schedule);
+    expect_cancel_is_safe_at_any_phase(schedule, /*supervised=*/true);
+  }
+}
+
+TEST(Cluster, ForwardedJobWhoseWorkerDiesAfterItsDeadlineGetsATerminal) {
+  if (!fp::kEnabled) GTEST_SKIP() << "built with CWATPG_FAILPOINTS=OFF";
+  // An fsim job (forwarded whole to one worker) outlives its 0.1 s
+  // deadline on a stalled worker, and the worker then dies with the
+  // reply. The job is dead, so its shard is not redispatched — but it
+  // must still get exactly one terminal, `cancelled`, or the client waits
+  // forever and the coordinator's drain never finishes.
+  fp::ScheduleScope fps(
+      "svc.server.execute.stall=always@300;cluster.worker.eof=once");
+  const net::Network n = net::decompose(gen::comparator(3));
+  ClusterFixture fx(2);
+  const std::string key = fx.load(n);
+  ASSERT_TRUE(fx.front.client->set_read_timeout(5.0));
+
+  obs::Json params = obs::Json::object();
+  params["circuit"] = key;
+  obs::Json patterns = obs::Json::array();
+  patterns.push_back(std::string(n.inputs().size(), '1'));
+  params["patterns"] = std::move(patterns);
+  params["deadline_seconds"] = 0.1;
+  obs::Json resp = fx.client.call("fsim", std::move(params));
+  ASSERT_FALSE(resp.at("ok").as_bool()) << resp.dump();
+  EXPECT_EQ(resp.at("error").at("code").as_string(), "cancelled");
+  EXPECT_EQ(fx.cluster->stats().worker_deaths, 1u);
+
+  // The next frame answers the status request: no second terminal.
+  obs::Json done_params = obs::Json::object();
+  done_params["job"] = resp.at("id").as_u64();
+  obs::Json done = fx.client.call("status", done_params);
+  EXPECT_EQ(done.at("result").at("state").as_string(), "done");
+
+  obs::Json drained = fx.client.call("shutdown");
+  EXPECT_TRUE(drained.at("result").at("drained").as_bool()) << drained.dump();
 }
 
 TEST(Cluster, CancelOfQueuedForwardedJobStillGetsATerminal) {

@@ -56,6 +56,34 @@ TEST(ThreadPool, WorkerIndexIsInRangeInsideAndSentinelOutside) {
   EXPECT_TRUE(in_range.load());
 }
 
+TEST(ThreadPool, PoolIsUsableFromAnotherPoolsWorker) {
+  // A task on pool A drives pool B — submit, parallel_for, wait_idle — the
+  // way a served parallel run_atpg drives its private pool from a server
+  // pool worker. To B, A's worker is an outside thread: no "called from
+  // inside the pool" assert, and B's tasks run on B's own workers.
+  ThreadPool a(3);
+  ThreadPool b(2);
+  std::atomic<std::size_t> covered{0};
+  std::atomic<std::size_t> submitted{0};
+  std::atomic<bool> b_index_in_range{true};
+  a.submit([&] {
+    for (std::size_t i = 0; i < 16; ++i) {
+      b.submit([&] {
+        if (ThreadPool::worker_index() >= b.size()) b_index_in_range = false;
+        submitted.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+    b.parallel_for(0, 100, 7, [&](std::size_t lo, std::size_t hi) {
+      covered.fetch_add(hi - lo, std::memory_order_relaxed);
+    });
+    b.wait_idle();
+  });
+  a.wait_idle();
+  EXPECT_EQ(covered.load(), 100u);
+  EXPECT_EQ(submitted.load(), 16u);
+  EXPECT_TRUE(b_index_in_range.load());
+}
+
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
