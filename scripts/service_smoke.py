@@ -32,9 +32,12 @@ by less than 32 MiB, and it must still answer and shut down cleanly.
 
 With --tcp-cluster (two binaries: cwatpg_cluster then cwatpg_serve) the
 workers are REMOTE: two `cwatpg_serve --listen` daemons on loopback, a
-coordinator attached via --connect, then kill -9 of one worker process
-mid-job. The job must finish with classification identical to the
-undisturbed reference — the cross-machine worker-failover guarantee.
+coordinator attached via --connect and itself booted with --listen, then
+kill -9 of one worker process mid-job. The job must finish with
+classification identical to the undisturbed reference — the
+cross-machine worker-failover guarantee. While a job runs, a second
+connection to the coordinator gets its `status` and, under the same
+request id, its own job's answer.
 
 usage: service_smoke.py /path/to/cwatpg_serve [--chaos-kill | --tcp]
        service_smoke.py /path/to/cwatpg_cluster --cluster
@@ -498,7 +501,8 @@ def hostile_header_drill(binary):
 def tcp_cluster_smoke(cluster_binary, serve_binary):
     """kill -9 a REMOTE (TCP-attached) worker process mid-job; the
     coordinator must fail the shards over and reproduce the reference
-    classification exactly."""
+    classification exactly. The coordinator listens on TCP too, and serves
+    a second connection while the first one's job runs."""
     env = {**os.environ,
            "CWATPG_FAILPOINTS": "svc.server.execute.stall=always@200"}
     workers, ports = [], []
@@ -511,10 +515,15 @@ def tcp_cluster_smoke(cluster_binary, serve_binary):
         ports.append(wait_for_listen(p))
     print(f"ok: two remote workers listening on ports {ports}")
 
-    c = Client(cluster_binary,
-               base_args=("--shard-size=1",
-                          f"--connect=127.0.0.1:{ports[0]}",
-                          f"--connect=127.0.0.1:{ports[1]}"))
+    proc = subprocess.Popen(
+        [cluster_binary, "--shard-size=1", "--listen=127.0.0.1:0",
+         f"--connect=127.0.0.1:{ports[0]}",
+         f"--connect=127.0.0.1:{ports[1]}"],
+        stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE)
+    port = wait_for_listen(proc)
+    print(f"ok: coordinator listening on 127.0.0.1:{port}")
+    c = TcpClient(port)
     r = c.call("load_circuit", {"name": "smoke", "text": BENCH_TEXT})
     check(r["ok"], "tcp-cluster: load through the coordinator")
     key = r["result"]["circuit"]["key"]
@@ -534,6 +543,31 @@ def tcp_cluster_smoke(cluster_binary, serve_binary):
     check(r["ok"] and not r["result"]["interrupted"],
           "tcp-cluster: reference run completes")
     ref = signature(r["result"])
+
+    # A second connection while the first one's job runs: its `status` is
+    # answered at once, and its job under the SAME request id gets its own
+    # terminal.
+    job_id = c.send("run_atpg", {"circuit": key, "seed": 5})
+    d = TcpClient(port)
+    d.sock.settimeout(3)
+    try:
+        r = d.call("status")
+    except OSError:
+        raise SystemExit("FAIL: tcp-cluster: a second connection's status "
+                         "got no frame within 3 s")
+    d.sock.settimeout(60)
+    check(r["ok"] and r["result"]["sessions"] == 2,
+          "tcp-cluster: second connection served while a job runs")
+    d.send("run_atpg", {"circuit": key, "seed": 5}, req_id=job_id)
+    term = c.recv()
+    check(term["id"] == job_id and term["ok"]
+          and signature(term["result"]) == ref,
+          "tcp-cluster: first connection gets its own job's answer")
+    term = d.recv()
+    check(term["id"] == job_id and term["ok"]
+          and signature(term["result"]) == ref,
+          "tcp-cluster: same id on the second connection, its own answer")
+    d.close()
 
     job_id = c.send("run_atpg", {"circuit": key, "seed": 5})
     time.sleep(0.35)
@@ -557,8 +591,9 @@ def tcp_cluster_smoke(cluster_binary, serve_binary):
 
     r = c.call("shutdown")
     check(r["ok"] and r["result"]["drained"], "tcp-cluster: coordinator drains")
-    c.proc.stdin.close()
-    check(c.proc.wait(timeout=30) == 0, "tcp-cluster: coordinator exited 0")
+    check(c.rout.read(1) == b"", "tcp-cluster: stream closed after shutdown")
+    c.close()
+    check(proc.wait(timeout=30) == 0, "tcp-cluster: coordinator exited 0")
 
     workers[0].wait(timeout=30)
     # The survivor keeps listening after the coordinator detaches; SIGTERM

@@ -36,8 +36,8 @@ class Listener {
   int accept_connection();
 
   /// Accepts one connection, blocking until a peer arrives (poll +
-  /// accept). The single-client convenience used by `--listen` front ends
-  /// that serve exactly one session (cwatpg_cluster).
+  /// accept). A convenience for harnesses that serve exactly one session;
+  /// both daemons' `--listen` modes run a NetServer instead.
   int accept_one_blocking();
 
  private:

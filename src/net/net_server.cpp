@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
@@ -31,7 +32,21 @@ void set_nonblocking(int fd) {
 /// peer that stops reading.
 constexpr double kFlushGraceSeconds = 5.0;
 
+std::atomic<NetServer*> g_signalled{nullptr};
+
+void stop_on_signal(int) {
+  if (NetServer* server = g_signalled.load()) server->stop();
+}
+
 }  // namespace
+
+void run_until_signalled(NetServer& server) {
+  g_signalled.store(&server);
+  ::signal(SIGINT, stop_on_signal);
+  ::signal(SIGTERM, stop_on_signal);
+  server.run();
+  g_signalled.store(nullptr);
+}
 
 // Self-pipe: worker threads (and signal handlers, via stop()) wake the
 // poll loop by writing one byte to the nonblocking write end.

@@ -39,6 +39,10 @@
 // transport), net.write.stall, net.conn.reset, plus the decoder's
 // per-frame svc.proto.read.* sites.
 //
+// Both daemons front their Server with one: `cwatpg_serve --listen` and
+// `cwatpg_cluster --listen` (whose Server shards each job) run the same
+// loop through run_until_signalled().
+//
 // Thread-safe: construct, run() and port() from one owner thread;
 // stop() may be called from any thread or a signal handler.
 #pragma once
@@ -121,5 +125,9 @@ class NetServer {
   /// final drained response.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> shutdown_reqs_;
 };
+
+/// Runs `server` with SIGINT and SIGTERM wired to its stop(), so a signal
+/// drains the daemon like a `shutdown` does. One such loop per process.
+void run_until_signalled(NetServer& server);
 
 }  // namespace cwatpg::netio

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <map>
 #include <optional>
 #include <span>
 #include <utility>
@@ -10,17 +11,12 @@
 #include "fault/fsim.hpp"
 #include "fault/tegus.hpp"
 #include "svc/params.hpp"
-#include "svc/server.hpp"
 #include "svc/spawn.hpp"
 #include "util/failpoint.hpp"
 
 namespace cwatpg::svc {
 
 namespace {
-
-/// Terminated job ids remembered for status/cancel after the JobContext
-/// itself is released; bounds coordinator memory at high job counts.
-constexpr std::size_t kDoneJobHistory = 1024;
 
 /// The params for window [lo, hi) of a sharded job, as a worker receives
 /// them and as the in-process fallback runs them: solved speculatively (no
@@ -135,22 +131,34 @@ class ReplayProvider final : public fault::detail::SolveProvider {
   std::span<const fault::StuckAtFault> faults_;
 };
 
+/// The coordinator's Server: one in-flight job per worker endpoint — each
+/// running job holds its pool thread until its shards are in, so that many
+/// keeps every worker busy even when every job is forwarded whole.
+ServerOptions coordinator_options(const ClusterOptions& options,
+                                  std::size_t workers) {
+  ServerOptions s;
+  s.threads = workers;
+  s.registry_bytes = options.registry_bytes;
+  s.default_deadline_seconds = options.default_deadline_seconds;
+  return s;
+}
+
 }  // namespace
 
-/// Everything the coordinator tracks for one admitted job. Mutable fields
-/// are guarded by the cluster mutex; `records` becomes read-only once the
-/// terminal is claimed (merge then runs lock-free).
+/// Everything the coordinator tracks for one job its executor runs.
+/// Mutable fields are guarded by the cluster mutex; `records` becomes
+/// read-only once the terminal is claimed (merge then runs lock-free).
 struct Cluster::JobContext {
-  std::uint64_t id = 0;
+  std::uint64_t id = 0;  ///< the client's request id
   RequestKind kind = RequestKind::kRunAtpg;
   obs::Json params;
   std::shared_ptr<const CircuitEntry> circuit;
-  std::string bench_text;  ///< for lazy replication to workers
   bool sharded = false;
   bool raw_outcomes = false;  ///< client asked for per-fault records
-  /// Job deadline + cancellation token. A job whose budget is exhausted
-  /// is dead: its unanswered shards are settled without running.
-  Budget budget;
+  /// The Server's deadline + cancellation token for the job. A job whose
+  /// budget is exhausted is dead: its unanswered shards are settled
+  /// without running.
+  std::shared_ptr<Budget> budget;
   Timer timer;
 
   // -- guarded by Cluster::mutex_ --
@@ -163,11 +171,15 @@ struct Cluster::JobContext {
   /// killing workers.
   std::vector<std::pair<std::size_t, std::size_t>> poison_windows;
   std::uint64_t inprocess_faults = 0;
-  bool terminal_sent = false;
+  bool finished = false;  ///< terminal claimed: late work is dropped
+  /// Set with `finished`: a decided error, or a forwarded job's worker
+  /// reply; null while a complete sharded job's records await the merge.
+  obs::Json terminal;
 };
 
 Cluster::Cluster(std::vector<WorkerEndpoint> workers, ClusterOptions options)
-    : options_(options), registry_(options.registry_bytes) {
+    : options_(options),
+      server_(coordinator_options(options, workers.size()), this) {
   if (workers.empty())
     throw std::invalid_argument("Cluster: at least one worker is required");
   if (options_.shard_size == 0) options_.shard_size = 1;
@@ -183,10 +195,22 @@ Cluster::Cluster(std::vector<WorkerEndpoint> workers, ClusterOptions options)
   alive_ = workers_.size();
   stats_.workers = workers_.size();
   stats_.alive = workers_.size();
-  metrics_.counter("cluster.workers").add(workers_.size());
+  server_.metrics().counter("cluster.workers").add(workers_.size());
+  for (const std::unique_ptr<WorkerState>& w : workers_) {
+    WorkerState* ws = w.get();
+    ws->thread = std::thread([this, ws] { worker_loop(*ws); });
+  }
 }
 
 Cluster::~Cluster() {
+  // Jobs still running need the workers to finish: drain first.
+  server_.drain();
+  stop_workers();
+  for (const std::unique_ptr<WorkerState>& w : workers_)
+    if (w->endpoint.transport != nullptr) w->endpoint.transport->close();
+}
+
+void Cluster::stop_workers() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_closed_ = true;
@@ -194,8 +218,6 @@ Cluster::~Cluster() {
   queue_cv_.notify_all();
   for (const std::unique_ptr<WorkerState>& w : workers_)
     if (w->thread.joinable()) w->thread.join();
-  for (const std::unique_ptr<WorkerState>& w : workers_)
-    if (w->endpoint.transport != nullptr) w->endpoint.transport->close();
 }
 
 ClusterStats Cluster::stats() const {
@@ -209,299 +231,155 @@ ClusterStats Cluster::stats() const {
   return s;
 }
 
-// ---- serve loop -----------------------------------------------------------
-
 void Cluster::serve(Transport& transport) {
-  if (transport_ != nullptr || shutting_down_)
-    throw std::logic_error("svc::Cluster::serve is single-use");
-  transport_ = &transport;
-  for (const std::unique_ptr<WorkerState>& w : workers_) {
-    WorkerState* ws = w.get();
-    ws->thread = std::thread([this, ws] { worker_loop(*ws); });
-  }
-
-  fp::DomainScope reader_domain("cluster.reader");
-  const auto handle = [&](const Request& req) {
-    switch (req.kind) {
-      case RequestKind::kLoadCircuit: {
-        std::shared_ptr<const CircuitEntry> entry;
-        obs::Json response = load_circuit(registry_, req, &entry);
-        if (entry != nullptr)
-          keep_bench_text(entry->key, req.params.find("text")->as_string());
-        transport.write(response);
-        break;
-      }
-      case RequestKind::kRunAtpg:
-      case RequestKind::kFsim:
-        admit_job(req);
-        break;
-      case RequestKind::kStatus:
-        handle_status(req);
-        break;
-      case RequestKind::kCancel:
-        handle_cancel(req);
-        break;
-      case RequestKind::kShutdown:
-        break;  // handle_frame returns its id instead
-    }
-  };
-  const std::optional<std::uint64_t> shutdown_id =
-      read_requests(transport, [&](const obs::Json& frame) {
-        return handle_frame(
-            frame, metrics_, "cluster.requests.", handle,
-            [&](const obs::Json& reply) { transport.write(reply); });
-      });
-
-  // Drain: stop admission, let every active job reach its terminal, then
-  // (for an explicit shutdown) answer LAST, mirroring Server::serve.
   {
-    std::unique_lock<std::mutex> lock(mutex_);
-    shutting_down_ = true;
-    drain_cv_.wait(lock, [&] { return active_jobs_ == 0; });
-    queue_closed_ = true;
+    // The coordinator's reader keeps its own failpoint domain, so a
+    // schedule aimed at a worker daemon's `svc.reader` sites fires there.
+    fp::DomainScope reader_domain("cluster.reader");
+    server_.serve(transport);
   }
-  queue_cv_.notify_all();
-  for (const std::unique_ptr<WorkerState>& w : workers_)
-    if (w->thread.joinable()) w->thread.join();
-
-  if (shutdown_id) {
-    obs::Json result = cluster_status_json();
-    result["drained"] = true;
-    transport.write(make_response(*shutdown_id, std::move(result)));
-  }
-  transport.close();
+  stop_workers();
 }
 
-// ---- control plane --------------------------------------------------------
+// ---- the job executor -----------------------------------------------------
 
-void Cluster::keep_bench_text(const std::string& key, std::string text) {
-  // Keep the source text for worker replication, keyed by the same
-  // structural content hash the registry dedups on: re-loading an
-  // identical circuit (under any name) is a no-op end to end.
-  bench_texts_[key] = std::move(text);
-  // This load may have pushed older entries past the registry's LRU
-  // budget; drop their replication texts too, or the text cache grows
-  // without bound with distinct circuits. (An evicted key cannot be
-  // admitted anyway, and already-admitted jobs carry their own copy.)
-  for (auto it = bench_texts_.begin(); it != bench_texts_.end();) {
-    if (it->first != key && !registry_.retains(it->first))
-      it = bench_texts_.erase(it);
-    else
-      ++it;
-  }
-}
-
-void Cluster::handle_status(const Request& req) {
-  if (const obs::Json* job_param = req.params.find("job");
-      job_param != nullptr) {
-    const std::uint64_t id = param_u64(req.params, "job", 0);
-    const char* state = "unknown";
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (const auto it = jobs_.find(id); it != jobs_.end())
-        state = it->second->terminal_sent ? "done" : "running";
-      else if (done_jobs_.count(id) != 0)
-        state = "done";
-    }
-    obs::Json result = obs::Json::object();
-    result["job"] = id;
-    result["state"] = state;
-    transport_->write(make_response(req.id, std::move(result)));
-    return;
-  }
-  transport_->write(make_response(req.id, cluster_status_json()));
-}
-
-obs::Json Cluster::cluster_status_json() {
-  obs::Json j = obs::Json::object();
-  j["cluster"] = true;
-  obs::Json workers = obs::Json::array();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    j["shutting_down"] = shutting_down_;
-    j["workers"] = static_cast<std::uint64_t>(workers_.size());
-    j["workers_alive"] = static_cast<std::uint64_t>(alive_);
-    j["workers_respawning"] = static_cast<std::uint64_t>(respawning_);
-    std::uint64_t quarantined = 0;
-    for (const std::unique_ptr<WorkerState>& w : workers_) {
-      obs::Json wj = obs::Json::object();
-      wj["name"] = w->endpoint.name;
-      wj["pid"] = static_cast<std::int64_t>(w->endpoint.pid);
-      wj["alive"] = w->alive;
-      wj["respawning"] = w->respawning;
-      wj["quarantined"] = w->supervisor.quarantined();
-      if (w->supervisor.quarantined()) ++quarantined;
-      wj["generation"] = w->supervisor.generation();
-      wj["restarts"] = w->supervisor.restarts();
-      wj["last_exit"] = w->supervisor.last_exit();
-      // Cumulative across generations: a respawn never erases history.
-      wj["shards_completed"] = w->shards_completed;
-      wj["redispatches_caused"] = w->redispatches_caused;
-      workers.push_back(std::move(wj));
-    }
-    j["workers_quarantined"] = quarantined;
-    j["shards_dispatched"] = stats_.shards_dispatched;
-    j["redispatched"] = stats_.redispatched;
-    j["worker_deaths"] = stats_.worker_deaths;
-    j["respawns"] = stats_.respawns;
-    j["heartbeat_failures"] = stats_.heartbeat_failures;
-    j["poison_windows"] = stats_.poison_windows;
-    j["inprocess_faults"] = stats_.inprocess_faults;
-    j["jobs_completed"] = stats_.jobs_completed;
-    j["jobs_failed"] = stats_.jobs_failed;
-    j["active_jobs"] = static_cast<std::uint64_t>(active_jobs_);
-    j["queue_depth"] = static_cast<std::uint64_t>(queue_.size());
-  }
-  j["worker_pool"] = std::move(workers);
-  j["registry"] = registry_.stats().to_json();
-  j["metrics"] = metrics_.snapshot().to_json();
-  return j;
-}
-
-void Cluster::handle_cancel(const Request& req) {
-  if (req.params.find("job") == nullptr)
-    throw ProtocolError("param \"job\" (request id) is required");
-  const std::uint64_t id = param_u64(req.params, "job", 0);
-
-  const char* state = "unknown";
-  std::vector<Shard> unrun;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = jobs_.find(id);
-    if (it != jobs_.end() && !it->second->terminal_sent) {
-      state = "cancelling";
-      const std::shared_ptr<JobContext>& job = it->second;
-      job->budget.cancel();
-      // Its queued shards will never run: take them off the queue now, so
-      // the terminal fires as soon as the in-flight shards return.
-      for (auto q = queue_.begin(); q != queue_.end();) {
-        if (q->job == job) {
-          unrun.push_back(std::move(*q));
-          q = queue_.erase(q);
-        } else {
-          ++q;
-        }
-      }
-      fan_out_cancel_locked(id);
-    } else if (it != jobs_.end() || done_jobs_.count(id) != 0) {
-      state = "done";
-    }
-  }
-  obs::Json result = obs::Json::object();
-  result["job"] = id;
-  result["state"] = state;
-  transport_->write(make_response(req.id, std::move(result)));
-  for (Shard& shard : unrun) settle(shard, ShardEnd{Fate::kUnrun});
-}
-
-void Cluster::fan_out_cancel_locked(std::uint64_t job_id) {
-  // The worker threads own their Clients (and are blocked awaiting shard
-  // replies), so the reader writes the cancel frame directly.
-  for (const std::unique_ptr<WorkerState>& w : workers_) {
-    if (!w->alive || w->inflight_job != job_id || w->inflight_worker_id == 0)
-      continue;
-    send_cancel(*w->endpoint.transport, w->inflight_worker_id);
-  }
-}
-
-// ---- admission ------------------------------------------------------------
-
-void Cluster::admit_job(const Request& req) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (shutting_down_) {
-      transport_->write(make_error(req.id, ErrorCode::kShuttingDown,
-                                   "cluster is draining"));
-      return;
-    }
-    if (alive_ + respawning_ == 0) {
-      // No worker thread is left to pop the queue (and none is between
-      // generations): admitting would strand the job without a terminal.
-      transport_->write(make_error(req.id, ErrorCode::kInternal,
-                                   "all cluster workers died"));
-      return;
-    }
-  }
-  const std::string key = param_string_required(req.params, "circuit");
-  std::shared_ptr<const CircuitEntry> circuit = registry_.find(key);
-  if (circuit == nullptr) {
-    transport_->write(make_error(req.id, ErrorCode::kNotFound,
-                                 "unknown circuit \"" + key +
-                                     "\" (load_circuit it first)"));
-    return;
-  }
-
-  auto job = std::make_shared<JobContext>();
-  job->id = req.id;
-  job->kind = req.kind;
-  job->params = req.params;
-  job->circuit = circuit;
-  if (const auto it = bench_texts_.find(circuit->key);
-      it != bench_texts_.end())
-    job->bench_text = it->second;
-
-  if (req.kind == RequestKind::kRunAtpg) {
+obs::Json Cluster::execute(const Job& job) {
+  auto ctx = std::make_shared<JobContext>();
+  ctx->id = job.request_id;
+  ctx->kind = job.kind;
+  ctx->params = job.params;
+  ctx->circuit = job.circuit;
+  ctx->budget = job.budget;
+  if (job.kind == RequestKind::kRunAtpg) {
     // Validate (and classify) the request up front with the SAME mapping
     // the workers apply, so a bad request fails here, not across N shards.
-    fault::AtpgOptions opts;
-    try {
-      opts = atpg_options_from_params(req.params, *circuit);
-    } catch (const ProtocolError& e) {
-      transport_->write(make_error(req.id, ErrorCode::kBadRequest, e.what()));
-      return;
-    }
-    job->raw_outcomes = param_bool(req.params, "raw_outcomes", false);
+    const fault::AtpgOptions opts =
+        atpg_options_from_params(job.params, *job.circuit);
+    ctx->raw_outcomes = param_bool(job.params, "raw_outcomes", false);
     // Shard only when per-fault outcomes are history-independent: the
     // per-fault engine over the full fault list. Incremental jobs (one
     // shared solver whose per-fault stats depend on query order) and
     // requests that already carry their own window are forwarded whole.
-    job->sharded = opts.engine == fault::AtpgEngine::kPerFault &&
-                   opts.fault_subset.empty() && !circuit->faults.empty();
+    ctx->sharded = opts.engine == fault::AtpgEngine::kPerFault &&
+                   opts.fault_subset.empty() && !job.circuit->faults.empty();
   }
-  const double deadline = param_double(req.params, "deadline_seconds",
-                                       options_.default_deadline_seconds);
-  if (deadline > 0.0) job->budget.set_deadline_after(deadline);
 
+  obs::Json terminal;
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (alive_ + respawning_ == 0)
+      // No worker thread is left to pop the queue (and none is between
+      // generations): queueing would strand the job.
+      return make_error(ctx->id, ErrorCode::kInternal,
+                        "all cluster workers died");
+    const std::size_t n = ctx->sharded ? ctx->circuit->faults.size() : 1;
+    const std::size_t width = ctx->sharded ? options_.shard_size : 1;
+    for (std::size_t lo = 0; lo < n; lo += width) {
+      Shard s;
+      s.job = ctx;
+      if (ctx->sharded) {
+        s.lo = lo;
+        s.hi = std::min(lo + width, n);
+      }
+      queue_.push_back(std::move(s));
+      ++ctx->shards_total;
+    }
+    queue_cv_.notify_all();
+    done_cv_.wait(lock,
+                  [&] { return ctx->finished || !workers_gone_.empty(); });
+    if (claim_terminal_locked(*ctx))  // every worker is gone
+      ctx->terminal =
+          make_error(ctx->id, ErrorCode::kInternal, workers_gone_);
+    terminal = std::move(ctx->terminal);
+  }
+  if (!ctx->sharded) {
+    // A forwarded job's terminal is its worker's reply, re-addressed to
+    // the job's request id.
+    terminal["id"] = ctx->id;
+    if (const obs::Json* result = terminal.find("result");
+        result != nullptr && result->is_object() &&
+        result->find("job") != nullptr)
+      terminal["result"]["job"] = ctx->id;
+  } else if (!terminal.is_object()) {
+    try {
+      terminal = make_response(ctx->id, merge_records(*ctx));
+    } catch (const std::exception& e) {
+      terminal = make_error(ctx->id, ErrorCode::kInternal,
+                            std::string("cluster merge failed: ") + e.what());
+    }
+  }
+  const obs::Json* ok = terminal.find("ok");
+  std::lock_guard<std::mutex> lock(mutex_);
+  ++(ok != nullptr && ok->is_bool() && ok->as_bool() ? stats_.jobs_completed
+                                                      : stats_.jobs_failed);
+  return terminal;
+}
+
+void Cluster::cancel(const Budget& budget) {
+  std::vector<Shard> unrun;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (alive_ + respawning_ == 0) {
-      // Re-checked under the registration lock: the last worker may have
-      // died since the admission-time probe, and its all-dead sweep only
-      // fails jobs that were registered when it ran.
-      transport_->write(make_error(req.id, ErrorCode::kInternal,
-                                   "all cluster workers died"));
-      return;
-    }
-    if (const auto it = jobs_.find(req.id);
-        it != jobs_.end() && !it->second->terminal_sent) {
-      transport_->write(
-          make_error(req.id, ErrorCode::kBadRequest,
-                     "cwatpg.rpc: request id " + std::to_string(req.id) +
-                         " already names a live job"));
-      return;
-    }
-    jobs_[req.id] = job;
-    ++active_jobs_;
-    if (job->sharded) {
-      const std::size_t n = circuit->faults.size();
-      for (std::size_t lo = 0; lo < n; lo += options_.shard_size) {
-        Shard s;
-        s.job = job;
-        s.lo = lo;
-        s.hi = std::min(lo + options_.shard_size, n);
-        queue_.push_back(std::move(s));
-        ++job->shards_total;
+    // The job's queued shards will never run: take them off the queue
+    // now, so its terminal comes as soon as its in-flight shards return.
+    for (auto q = queue_.begin(); q != queue_.end();) {
+      if (q->job->budget.get() == &budget) {
+        unrun.push_back(std::move(*q));
+        q = queue_.erase(q);
+      } else {
+        ++q;
       }
-    } else {
-      Shard s;
-      s.job = job;
-      queue_.push_back(std::move(s));
-      job->shards_total = 1;
     }
+    // The worker threads own their Clients (and are blocked awaiting
+    // shard replies), so the cancel frame is written from here.
+    for (const std::unique_ptr<WorkerState>& w : workers_)
+      if (w->alive && w->inflight_job != nullptr &&
+          w->inflight_job->budget.get() == &budget &&
+          w->inflight_worker_id != 0)
+        send_cancel(*w->endpoint.transport, w->inflight_worker_id);
   }
-  queue_cv_.notify_all();
-  metrics_.counter("cluster.jobs.admitted").add(1);
-  // No admission ack: the job's single terminal response is the reply.
+  for (Shard& shard : unrun) settle(shard, ShardEnd{Fate::kUnrun});
+}
+
+void Cluster::describe(obs::Json& j) {
+  j["cluster"] = true;
+  // Admitted and not yet answered: the Server's queued and running jobs.
+  const std::uint64_t active =
+      j.at("in_flight").as_u64() + j.at("queue").at("depth").as_u64();
+  obs::Json workers = obs::Json::array();
+  std::lock_guard<std::mutex> lock(mutex_);
+  j["workers"] = static_cast<std::uint64_t>(workers_.size());
+  j["workers_alive"] = static_cast<std::uint64_t>(alive_);
+  j["workers_respawning"] = static_cast<std::uint64_t>(respawning_);
+  std::uint64_t quarantined = 0;
+  for (const std::unique_ptr<WorkerState>& w : workers_) {
+    obs::Json wj = obs::Json::object();
+    wj["name"] = w->endpoint.name;
+    wj["pid"] = static_cast<std::int64_t>(w->endpoint.pid);
+    wj["alive"] = w->alive;
+    wj["respawning"] = w->respawning;
+    wj["quarantined"] = w->supervisor.quarantined();
+    if (w->supervisor.quarantined()) ++quarantined;
+    wj["generation"] = w->supervisor.generation();
+    wj["restarts"] = w->supervisor.restarts();
+    wj["last_exit"] = w->supervisor.last_exit();
+    // Cumulative across generations: a respawn never erases history.
+    wj["shards_completed"] = w->shards_completed;
+    wj["redispatches_caused"] = w->redispatches_caused;
+    workers.push_back(std::move(wj));
+  }
+  j["workers_quarantined"] = quarantined;
+  j["shards_dispatched"] = stats_.shards_dispatched;
+  j["redispatched"] = stats_.redispatched;
+  j["worker_deaths"] = stats_.worker_deaths;
+  j["respawns"] = stats_.respawns;
+  j["heartbeat_failures"] = stats_.heartbeat_failures;
+  j["poison_windows"] = stats_.poison_windows;
+  j["inprocess_faults"] = stats_.inprocess_faults;
+  j["jobs_completed"] = stats_.jobs_completed;
+  j["jobs_failed"] = stats_.jobs_failed;
+  j["active_jobs"] = active;
+  j["queue_depth"] = static_cast<std::uint64_t>(queue_.size());
+  j["worker_pool"] = std::move(workers);
 }
 
 // ---- shard dispatch -------------------------------------------------------
@@ -521,7 +399,7 @@ Cluster::Pop Cluster::pop_shard(Shard& out, double idle_timeout_seconds) {
     if (queue_.empty()) return Pop::kClosed;  // closed and drained
     out = std::move(queue_.front());
     queue_.pop_front();
-    if (!out.job->terminal_sent && !out.job->budget.exhausted())
+    if (!out.job->finished && !out.job->budget->exhausted())
       return Pop::kShard;
     // Its job is dead or already answered: never dispatch it.
     lock.unlock();
@@ -600,10 +478,10 @@ bool Cluster::heartbeat(WorkerState& w, Client& client) {
       ok = false;  // timeout or torn session
     }
     w.endpoint.transport->set_read_timeout(0.0);
-    metrics_.counter("cluster.supervisor.heartbeats").add(1);
+    server_.metrics().counter("cluster.supervisor.heartbeats").add(1);
   }
   if (!ok) {
-    metrics_.counter("cluster.supervisor.heartbeat_failures").add(1);
+    server_.metrics().counter("cluster.supervisor.heartbeat_failures").add(1);
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.heartbeat_failures;
   }
@@ -644,7 +522,7 @@ bool Cluster::await_respawn(WorkerState& w) {
         --respawning_;
         all_dead = alive_ == 0 && respawning_ == 0;
       }
-      metrics_.counter("cluster.supervisor.quarantined").add(1);
+      server_.metrics().counter("cluster.supervisor.quarantined").add(1);
       if (all_dead) fail_all_jobs("all cluster workers died");
       return false;
     }
@@ -672,7 +550,7 @@ bool Cluster::await_respawn(WorkerState& w) {
       ok = ok && next.transport != nullptr;
     }
     if (!ok) {
-      metrics_.counter("cluster.supervisor.respawn_failures").add(1);
+      server_.metrics().counter("cluster.supervisor.respawn_failures").add(1);
       std::lock_guard<std::mutex> lock(mutex_);
       w.supervisor.note_respawn_failure();
       continue;
@@ -694,7 +572,7 @@ bool Cluster::await_respawn(WorkerState& w) {
       --respawning_;
       ++stats_.respawns;
     }
-    metrics_.counter("cluster.supervisor.respawns").add(1);
+    server_.metrics().counter("cluster.supervisor.respawns").add(1);
     return true;
   }
 }
@@ -724,10 +602,10 @@ bool Cluster::run_shard(WorkerState& w, Client& client, Shard& shard) {
     // Lazy replication, idempotent by content hash: the first shard of a
     // circuit on this worker ships the bench text; re-sends after a
     // failover ack with already_loaded.
-    if (!job->bench_text.empty() &&
+    if (!job->circuit->text.empty() &&
         w.loaded.count(job->circuit->key) == 0) {
       obs::Json p = obs::Json::object();
-      p["text"] = job->bench_text;
+      p["text"] = job->circuit->text;
       p["name"] = job->circuit->net.name();
       const obs::Json reply = client.call("load_circuit", std::move(p));
       const obs::Json* ok = reply.find("ok");
@@ -743,8 +621,8 @@ bool Cluster::run_shard(WorkerState& w, Client& client, Shard& shard) {
                            ? window_params(job->params, shard.lo, shard.hi)
                            : job->params;
     double deadline = 0.0;
-    if (job->budget.has_deadline())
-      deadline = std::max(job->budget.remaining_seconds(), 1e-3);
+    if (job->budget->has_deadline())
+      deadline = std::max(job->budget->remaining_seconds(), 1e-3);
     if (job->sharded && options_.shard_deadline_seconds > 0.0)
       deadline = deadline > 0.0
                      ? std::min(deadline, options_.shard_deadline_seconds)
@@ -757,21 +635,22 @@ bool Cluster::run_shard(WorkerState& w, Client& client, Shard& shard) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.shards_dispatched;
-      if (shard.attempt > 0) metrics_.counter("cluster.shards.retried").add(1);
+      if (shard.attempt > 0)
+        server_.metrics().counter("cluster.shards.retried").add(1);
       w.inflight_worker_id = wid;
-      w.inflight_job = job->id;
+      w.inflight_job = job.get();
       // Close the submit/cancel race: a cancel that fanned out before we
       // registered the in-flight id missed this worker.
-      send_cancel_now = job->budget.cancelled();
+      send_cancel_now = job->budget->cancelled();
     }
-    metrics_.counter("cluster.shards").add(1);
+    server_.metrics().counter("cluster.shards").add(1);
     if (send_cancel_now) send_cancel(*w.endpoint.transport, wid);
 
     std::optional<obs::Json> reply = client.await(wid);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       w.inflight_worker_id = 0;
-      w.inflight_job = 0;
+      w.inflight_job = nullptr;
     }
     if (!reply) return false;  // transport closed mid-await: worker died
     // Failpoint: the worker dies right after answering — its reply is
@@ -817,7 +696,7 @@ Cluster::ShardEnd Cluster::read_window(const Shard& shard,
                                        WorkerState* worker) {
   // A live job needs the whole window; a dead job's partial window is
   // merged as far as it got.
-  const bool live = !shard.job->budget.exhausted();
+  const bool live = !shard.job->budget->exhausted();
   const obs::Json* interrupted = result.find("interrupted");
   if (live && interrupted != nullptr && interrupted->is_bool() &&
       interrupted->as_bool())
@@ -870,7 +749,7 @@ void Cluster::on_worker_death(WorkerState& w, Shard& shard) {
       ++stats_.worker_deaths;
     }
     w.inflight_worker_id = 0;
-    w.inflight_job = 0;
+    w.inflight_job = nullptr;
     // Decide respawn intent INSIDE the death transition: a slot between
     // generations still counts as capacity, so a sibling's concurrent
     // death cannot fire the all-dead sweep while this one is reviving.
@@ -882,7 +761,7 @@ void Cluster::on_worker_death(WorkerState& w, Shard& shard) {
     }
     all_dead = alive_ == 0 && respawning_ == 0;
   }
-  metrics_.counter("cluster.worker_deaths").add(1);
+  server_.metrics().counter("cluster.worker_deaths").add(1);
   w.endpoint.transport->close();
   // Reap the child NOW — not at coordinator exit — so a kill -9'd worker
   // never lingers as a zombie, and `status` can report how it died.
@@ -901,18 +780,15 @@ void Cluster::on_worker_death(WorkerState& w, Shard& shard) {
 }
 
 void Cluster::fail_all_jobs(const std::string& why) {
-  std::vector<std::shared_ptr<JobContext>> victims;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [id, job] : jobs_)
-      if (claim_terminal_locked(*job)) victims.push_back(job);
+    workers_gone_ = why;
   }
-  for (const std::shared_ptr<JobContext>& job : victims)
-    send_terminal(job, make_error(job->id, ErrorCode::kInternal, why));
+  done_cv_.notify_all();
 }
 
 void Cluster::run_window_inprocess(Shard& shard) {
-  metrics_.counter("cluster.supervisor.inprocess_windows").add(1);
+  server_.metrics().counter("cluster.supervisor.inprocess_windows").add(1);
   JobContext& job = *shard.job;
   ShardEnd end;
   try {
@@ -925,7 +801,7 @@ void Cluster::run_window_inprocess(Shard& shard) {
         shard,
         run_atpg_request(job.id, *job.circuit,
                          window_params(job.params, shard.lo, shard.hi),
-                         job.budget, metrics_),
+                         *job.budget, server_.metrics()),
         nullptr);
   } catch (const std::exception& e) {
     end = ShardEnd{Fate::kFailed, nullptr, e.what()};
@@ -939,11 +815,11 @@ void Cluster::settle(Shard& shard, ShardEnd end) {
   const std::shared_ptr<JobContext> job = shard.job;
   enum class Next { kWait, kRequeue, kBisect, kInProcess, kTerminal };
   Next next = Next::kWait;
-  obs::Json terminal;  // kTerminal: an error decided under the lock
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    // (1) Late work: the job's terminal is already out.
-    if (job->terminal_sent) return;
+    // (1) Late work: the job's terminal is already claimed.
+    if (job->finished) return;
+    obs::Json terminal;  // kTerminal: an error decided here
 
     if (end.fate == Fate::kAnswered) {
       if (end.worker != nullptr) ++end.worker->shards_completed;
@@ -956,10 +832,12 @@ void Cluster::settle(Shard& shard, ShardEnd end) {
         job->inprocess_faults += width;
         ++stats_.poison_windows;
         stats_.inprocess_faults += width;
-        metrics_.counter("cluster.supervisor.inprocess_faults").add(width);
+        server_.metrics()
+            .counter("cluster.supervisor.inprocess_faults")
+            .add(width);
       }
       ++job->shards_accounted;
-    } else if (end.fate == Fate::kUnrun || job->budget.exhausted()) {
+    } else if (end.fate == Fate::kUnrun || job->budget->exhausted()) {
       // (2) A dead job's unanswered shard: running it is wasted work. A
       // sharded job counts it done with no records, for the partial
       // merge; a forwarded job has no result to send but `cancelled`.
@@ -1022,51 +900,40 @@ void Cluster::settle(Shard& shard, ShardEnd end) {
       // (4) Every shard is accounted for: the job is complete.
       next = Next::kTerminal;
     }
-    if (next == Next::kTerminal) claim_terminal_locked(*job);
+    if (next == Next::kTerminal) {
+      claim_terminal_locked(*job);
+      // An error decided above, a forwarded job's worker reply, or — for
+      // a complete sharded job — nothing: its executor merges the records.
+      job->terminal =
+          terminal.is_object() ? std::move(terminal) : std::move(end.reply);
+    }
   }
 
   switch (next) {
     case Next::kWait:
       return;
     case Next::kRequeue:
-      metrics_.counter("cluster.redispatched").add(1);
+      server_.metrics().counter("cluster.redispatched").add(1);
       queue_cv_.notify_all();
       return;
     case Next::kBisect:
-      metrics_.counter("cluster.supervisor.bisections").add(1);
+      server_.metrics().counter("cluster.supervisor.bisections").add(1);
       queue_cv_.notify_all();
       return;
     case Next::kInProcess:
       run_window_inprocess(shard);
       return;
     case Next::kTerminal:
-      break;
+      done_cv_.notify_all();
+      return;
   }
-  if (!terminal.is_object() && !job->sharded) {
-    // A forwarded job's terminal is its worker's reply, re-addressed to
-    // the coordinator's job id.
-    terminal = std::move(end.reply);
-    terminal["id"] = job->id;
-    if (const obs::Json* result = terminal.find("result");
-        result != nullptr && result->is_object() &&
-        result->find("job") != nullptr)
-      terminal["result"]["job"] = job->id;
-  } else if (!terminal.is_object()) {
-    try {
-      terminal = make_response(job->id, merge_records(*job));
-    } catch (const std::exception& e) {
-      terminal = make_error(job->id, ErrorCode::kInternal,
-                            std::string("cluster merge failed: ") + e.what());
-    }
-  }
-  send_terminal(job, std::move(terminal));
 }
 
 // ---- job termination ------------------------------------------------------
 
 bool Cluster::claim_terminal_locked(JobContext& job) {
-  if (job.terminal_sent) return false;
-  job.terminal_sent = true;
+  if (job.finished) return false;
+  job.finished = true;
   for (auto it = queue_.begin(); it != queue_.end();) {
     if (it->job.get() == &job)
       it = queue_.erase(it);
@@ -1074,39 +941,6 @@ bool Cluster::claim_terminal_locked(JobContext& job) {
       ++it;
   }
   return true;
-}
-
-void Cluster::send_terminal(const std::shared_ptr<JobContext>& job,
-                            obs::Json response) {
-  const obs::Json* ok = response.find("ok");
-  const bool completed = ok != nullptr && ok->is_bool() && ok->as_bool();
-  metrics_.counter(completed ? "cluster.jobs.completed"
-                             : "cluster.jobs.failed")
-      .add(1);
-  transport_->write(response);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++(completed ? stats_.jobs_completed : stats_.jobs_failed);
-    if (active_jobs_ > 0) --active_jobs_;
-    // The terminal is out: release the job's heavy state (the per-fault
-    // records map, and the jobs_ entry pinning the whole context) so a
-    // long-lived coordinator does not grow with job count. status/cancel
-    // keep answering "done" out of a bounded id history. The entry is
-    // erased only if it still maps to THIS job — a reused request id may
-    // already name a successor admitted during the merge window.
-    job->records.clear();
-    if (const auto it = jobs_.find(job->id);
-        it != jobs_.end() && it->second == job)
-      jobs_.erase(it);
-    if (done_jobs_.insert(job->id).second) {
-      done_order_.push_back(job->id);
-      if (done_order_.size() > kDoneJobHistory) {
-        done_jobs_.erase(done_order_.front());
-        done_order_.pop_front();
-      }
-    }
-  }
-  drain_cv_.notify_all();
 }
 
 obs::Json Cluster::merge_records(JobContext& job) {
@@ -1133,7 +967,7 @@ obs::Json Cluster::merge_records(JobContext& job) {
   ropts.threads = stats_.workers;
   ropts.seed = opts.seed;
   obs::Json j = atpg_result_json(job.id, circuit, result, {}, ropts,
-                                 job.budget.poll(), job.raw_outcomes,
+                                 job.budget->poll(), job.raw_outcomes,
                                  job.timer);
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -1155,7 +989,7 @@ obs::Json Cluster::merge_records(JobContext& job) {
     cluster["inprocess_faults"] = job.inprocess_faults;
     j["cluster"] = std::move(cluster);
   }
-  j["registry"] = registry_.stats().to_json();
+  j["registry"] = server_.registry_stats().to_json();
   return j;
 }
 

@@ -1,19 +1,20 @@
-// The sharded ATPG cluster coordinator: one cwatpg.rpc/1 front end over a
-// pool of worker daemons, with deterministic merge and worker failover.
+// The sharded ATPG cluster coordinator: a svc::Server whose job executor
+// fans each job out over a pool of worker daemons, with deterministic
+// merge and worker failover.
 //
-// A Cluster speaks exactly the protocol a single svc::Server does — same
-// request kinds, same response shapes — so a client cannot tell (except by
-// `status`) whether it is talking to one daemon or a fleet. It reads
-// requests, registers circuits and builds `run_atpg` results with the
-// Server's own code (svc/server.hpp). What changes is the execution plan
-// for a per-fault `run_atpg` job:
+// A Cluster owns a Server and is its svc::JobExecutor, so its front end IS
+// the daemon's — the same request kinds and response shapes, sessions,
+// admission, priorities, status, cancel and drain — and a client cannot
+// tell (except by `status`) whether it is talking to one daemon or a
+// fleet. Only where a job runs changes. For a per-fault `run_atpg` job,
+// execute() on a Server pool worker does:
 //
-//   admit ─▶ shard the collapsed fault-id space into contiguous
-//            [k·S, (k+1)·S) windows ─▶ dispatch windows to workers
-//            (`fault_range` + `raw_outcomes`, drop_by_simulation off so
-//            every window solves independently) ─▶ ingest per-fault
-//            records ─▶ REPLAY the single-node pipeline over the records
-//            ─▶ one terminal response.
+//   shard the collapsed fault-id space into contiguous [k·S, (k+1)·S)
+//   windows ─▶ dispatch windows to workers (`fault_range` +
+//   `raw_outcomes`, drop_by_simulation off so every window solves
+//   independently) ─▶ ingest per-fault records ─▶ REPLAY the single-node
+//   pipeline over the records ─▶ the job's terminal frame, which the
+//   Server sends.
 //
 // Determinism argument (see ARCHITECTURE.md): per-fault classification is
 // a pure function of (circuit, fault, solver options) and random-phase
@@ -50,45 +51,44 @@
 // Shard lifecycle: every shard reaches ONE settle step whenever it leaves
 // the dispatch queue or a worker — reply ingested, benign failure, worker
 // death, poison bisection, in-process window, or cancelled while queued.
-// settle() drops late work for a job whose terminal is out; settles a
+// settle() drops late work for a job whose terminal is claimed; settles a
 // dead job's (cancelled, or past its deadline) unanswered shard one way —
 // done with no records for a sharded job's partial merge, `cancelled`
 // for a forwarded job; otherwise requeues the shard under the
 // one-redispatch budget, bisects it, or runs it in-process; and is the
-// only place that detects completion and sends a job's terminal (the one
-// other terminal is the all-workers-dead sweep). First-ingest-wins per
-// fault index makes redispatch safe against the original reply racing in
-// late: no fault is lost, none is double-counted.
+// only place that detects completion and claims a job's terminal (the
+// one other claim is a job's own executor once every worker is gone).
+// First-ingest-wins per fault index makes redispatch safe against the
+// original reply racing in late: no fault is lost, none is
+// double-counted. A cancel (or the job's session closing) reaches the
+// executor through JobExecutor::cancel, which drops the job's queued
+// shards and sends an out-of-band cancel to every worker running one.
 //
 // Jobs whose per-fault outcomes are NOT independent of solver-call history
 // (engine "incremental") and `fsim` jobs are forwarded whole to one
 // worker rather than sharded.
 //
-// Thread-safe: serve() is the single-owner entry point; one worker thread
-// per endpoint plus the reader synchronize on one coordinator mutex.
+// Thread-safe: serve() is the single-owner entry point (or drive server()
+// from a netio::NetServer); the Server's threads and one worker thread
+// per endpoint synchronize on one coordinator mutex.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "svc/client.hpp"
 #include "svc/proto.hpp"
-#include "svc/registry.hpp"
+#include "svc/server.hpp"
 #include "svc/supervisor.hpp"
 #include "svc/transport.hpp"
-#include "util/budget.hpp"
-#include "util/timer.hpp"
 
 namespace cwatpg::svc {
 
@@ -100,10 +100,11 @@ struct ClusterOptions {
   /// self-reports `interrupted` instead of holding its shard forever.
   double shard_deadline_seconds = 0.0;
   /// Job deadline applied when the request carries none (0 = unlimited);
-  /// mirrors ServerOptions::default_deadline_seconds.
+  /// the coordinator's ServerOptions::default_deadline_seconds.
   double default_deadline_seconds = 0.0;
   /// Coordinator-side circuit registry budget (it keeps its own parsed
-  /// copy of every circuit: the collapsed fault list is the shard space).
+  /// copy of every circuit: the collapsed fault list is the shard space);
+  /// the coordinator's ServerOptions::registry_bytes.
   std::size_t registry_bytes = std::size_t(256) << 20;
   /// Retry/backoff policy for the per-worker clients (reused from the
   /// single-daemon resilience layer).
@@ -129,7 +130,7 @@ struct ClusterStats {
   std::uint64_t jobs_failed = 0;
 };
 
-class Cluster {
+class Cluster : private JobExecutor {
  public:
   /// One worker endpoint the cluster owns. `pid` is the current
   /// generation's process (surfaced through `status` so an operator — or
@@ -157,15 +158,21 @@ class Cluster {
     std::function<Respawned()> respawn;
   };
 
+  /// Starts one thread per worker endpoint. The coordinator's Server
+  /// allows one in-flight job per endpoint and takes its registry budget
+  /// and default deadline from `options`.
   Cluster(std::vector<WorkerEndpoint> workers, ClusterOptions options = {});
   ~Cluster();
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Serves `transport` until a `shutdown` request completes its drain or
-  /// the peer closes the stream. Same contract as Server::serve.
+  /// Runs server().serve(transport) — same contract as Server::serve —
+  /// then stops the workers, passing the shutdown on to their daemons.
   void serve(Transport& transport);
+
+  /// The coordinator's Server, for a netio::NetServer front end.
+  Server& server() { return server_; }
 
   ClusterStats stats() const;
 
@@ -217,18 +224,20 @@ class Cluster {
     std::uint64_t shards_completed = 0;
     std::uint64_t redispatches_caused = 0;
     std::uint64_t inflight_worker_id = 0;  ///< worker-side request id, 0=idle
-    std::uint64_t inflight_job = 0;        ///< coordinator job id, 0=idle
+    const JobContext* inflight_job = nullptr;  ///< the job it serves
     std::unordered_set<std::string> loaded;  ///< circuit keys replicated
   };
 
   enum class Pop { kShard, kIdle, kClosed };
 
-  // -- reader side --
-  /// Keeps a loaded circuit's bench text for replication to workers.
-  void keep_bench_text(const std::string& key, std::string text);
-  void handle_status(const Request& req);
-  void handle_cancel(const Request& req);
-  void admit_job(const Request& req);
+  // -- the job executor the Server calls --
+  /// Shards (or forwards) the job, waits until settle() claims its
+  /// terminal, and merges a sharded job's records.
+  obs::Json execute(const Job& job) override;
+  /// Drops the job's queued shards and cancels its in-flight ones.
+  void cancel(const Budget& budget) override;
+  /// The worker pool and cluster counters, as `status` keys.
+  void describe(obs::Json& status) override;
 
   // -- worker side --
   void worker_loop(WorkerState& w);
@@ -264,8 +273,11 @@ class Cluster {
   /// of its result.
   void run_window_inprocess(Shard& shard);
   /// Fails every non-terminal job; fired when the last live-or-reviving
-  /// worker is gone.
+  /// worker is gone. Each waiting execute() claims its own terminal.
   void fail_all_jobs(const std::string& why);
+  /// Closes the shard queue and joins the worker threads, which pass the
+  /// shutdown on to their daemons. Idempotent.
+  void stop_workers();
 
   // -- job lifecycle --
   /// Blocks for the next dispatchable shard. `idle_timeout_seconds` > 0
@@ -278,52 +290,32 @@ class Cluster {
   /// shard one way — done with no records for a sharded job, `cancelled`
   /// for a forwarded one; otherwise applies the fate (ingest, requeue
   /// under the one-redispatch budget, bisect, or run in-process); and is
-  /// the only place that detects completion and sends the job's terminal
-  /// (fail_all_jobs aside).
+  /// the only place that detects completion and claims the job's
+  /// terminal (an executor whose workers are all gone aside).
   void settle(Shard& shard, ShardEnd end);
-  /// Marks `job` terminal and drops its still-queued shards; false if its
+  /// Marks `job` finished and drops its still-queued shards; false if its
   /// terminal was already claimed. Exactly-once: the caller holds mutex_.
   bool claim_terminal_locked(JobContext& job);
-  /// Writes a claimed job's terminal, counts it completed or failed by
-  /// its `ok`, and releases the job.
-  void send_terminal(const std::shared_ptr<JobContext>& job,
-                     obs::Json response);
   obs::Json merge_records(JobContext& job);
-  obs::Json cluster_status_json();
-  /// Writes an out-of-band (id 0) cancel for whatever worker-side job is
-  /// in flight for coordinator job `job_id` on any worker.
-  void fan_out_cancel_locked(std::uint64_t job_id);
 
   ClusterOptions options_;
-  CircuitRegistry registry_;
-  /// Bench text by content-hash key, for replication to workers. Kept
-  /// independently of the registry's LRU: a worker may need the text for
-  /// as long as any job references the circuit.
-  std::unordered_map<std::string, std::string> bench_texts_;
-  obs::MetricsRegistry metrics_;
-
-  Transport* transport_ = nullptr;  ///< valid during serve()
 
   mutable std::mutex mutex_;
   std::condition_variable queue_cv_;  ///< dispatch queue not-empty / closed
-  std::condition_variable drain_cv_;  ///< a job reached its terminal
+  std::condition_variable done_cv_;   ///< a terminal claimed / workers gone
   std::deque<Shard> queue_;           ///< guarded by mutex_
   bool queue_closed_ = false;
-  bool shutting_down_ = false;
   std::vector<std::unique_ptr<WorkerState>> workers_;
   std::size_t alive_ = 0;
   /// Slots whose supervisor is between generations (dead but reviving).
   /// They count as capacity: admission and the all-dead sweep treat
   /// alive_ + respawning_ == 0 as "the cluster is gone".
   std::size_t respawning_ = 0;
-  /// Live jobs only: the entry is released with the terminal response.
-  std::unordered_map<std::uint64_t, std::shared_ptr<JobContext>> jobs_;
-  /// Recently-terminated job ids (bounded FIFO history) so status/cancel
-  /// still answer "done" after the JobContext is gone.
-  std::unordered_set<std::uint64_t> done_jobs_;
-  std::deque<std::uint64_t> done_order_;
-  std::size_t active_jobs_ = 0;
+  /// Why the last worker is gone (fail_all_jobs); empty while any lives.
+  std::string workers_gone_;
   ClusterStats stats_;
+  /// Declared last: destroyed first, after ~Cluster drained it.
+  Server server_;
 };
 
 }  // namespace cwatpg::svc

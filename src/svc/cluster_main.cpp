@@ -25,8 +25,11 @@
 // --connect is given and --workers is not, no local workers are spawned.
 // A remote worker that dies (kill -9 included) surfaces as socket EOF and
 // takes the same shard-failover path as a dead child process.
-// --listen=HOST:PORT serves the coordinator's OWN front end over TCP to
-// one client at a time instead of stdio.
+// --listen=HOST:PORT serves the coordinator's OWN front end to concurrent
+// TCP clients, one session each, through the same netio::NetServer as
+// `cwatpg_serve --listen` (SIGINT/SIGTERM drain it); the coordinator is a
+// svc::Server whose job executor shards, so sessions, admission, cancel
+// and drain follow the daemon's rules.
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
@@ -35,7 +38,7 @@
 #include <string>
 #include <vector>
 
-#include "net/listener.hpp"
+#include "net/net_server.hpp"
 #include "net/socket.hpp"
 #include "svc/cluster.hpp"
 #include "svc/spawn.hpp"
@@ -76,8 +79,9 @@ void print_usage(std::ostream& out, const char* argv0) {
          "  --connect=HOST:PORT   attach a remote TCP worker (repeatable;"
          " a `cwatpg_serve --listen` daemon; dialed with bounded retries"
          " so a still-booting worker is tolerated)\n"
-         "  --listen=HOST:PORT    serve the front end over TCP (one client"
-         " at a time; PORT 0 = ephemeral, bound port on stderr)\n";
+         "  --listen=HOST:PORT    serve concurrent TCP clients, one session"
+         " each, instead of stdio; PORT 0 = ephemeral (bound port on"
+         " stderr)\n";
 }
 
 /// Default worker command: the cwatpg_serve that shipped alongside this
@@ -245,15 +249,15 @@ int main(int argc, char** argv) {
     // reuse, so the list only backstops a failure *before* this point.
     pids.clear();
     if (!listen_spec.empty()) {
-      std::string host;
-      std::uint16_t port = 0;
-      netio::parse_host_port(listen_spec, &host, &port);
-      netio::Listener listener(host, port);
+      netio::NetServerOptions net_options;
+      netio::parse_host_port(listen_spec, &net_options.host,
+                             &net_options.port);
+      netio::NetServer net_server(cluster.server(), net_options);
       // Same parseable banner shape as cwatpg_serve --listen.
-      std::cerr << " — listening on " << host << ":" << listener.port()
-                << "\n";
-      netio::SocketTransport transport(listener.accept_one_blocking());
-      cluster.serve(transport);
+      std::cerr << " — listening on " << net_options.host << ":"
+                << net_server.port() << " (max "
+                << net_options.max_connections << " connections)\n";
+      netio::run_until_signalled(net_server);
     } else {
       std::cerr << " — serving cwatpg.rpc/1 on stdin/stdout\n";
       svc::FdTransport transport(STDIN_FILENO, STDOUT_FILENO);

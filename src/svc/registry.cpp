@@ -105,11 +105,12 @@ CircuitRegistry::CircuitRegistry(std::size_t byte_budget)
 std::shared_ptr<const CircuitEntry> CircuitRegistry::load_bench(
     std::string_view text, std::string name, bool* already_loaded) {
   std::istringstream in{std::string(text)};
-  return insert(net::read_bench(in, std::move(name)), already_loaded);
+  return insert(net::read_bench(in, std::move(name)), already_loaded,
+                std::string(text));
 }
 
 std::shared_ptr<const CircuitEntry> CircuitRegistry::insert(
-    net::Network net, bool* already_loaded) {
+    net::Network net, bool* already_loaded, std::string text) {
   if (already_loaded != nullptr) *already_loaded = false;
   const std::string key = content_hash(net);
   {
@@ -136,6 +137,7 @@ std::shared_ptr<const CircuitEntry> CircuitRegistry::insert(
   entry->base_cnf = sat::encode_constraints(entry->net);
   entry->miter = std::make_shared<const fault::SharedMiterCnf>(entry->net);
   entry->approx_bytes = estimate_bytes(*entry);
+  entry->text = std::move(text);
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (const auto it = entries_.find(key); it != entries_.end()) {
@@ -173,11 +175,6 @@ std::shared_ptr<const CircuitEntry> CircuitRegistry::find(
     bytes_ = 0;
   }
   return entry;
-}
-
-bool CircuitRegistry::retains(std::string_view key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.find(std::string(key)) != entries_.end();
 }
 
 RegistryStats CircuitRegistry::stats() const {

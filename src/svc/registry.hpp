@@ -57,6 +57,9 @@ struct CircuitEntry {
   /// here) by the structural content hash.
   std::shared_ptr<const fault::SharedMiterCnf> miter;
   std::size_t approx_bytes = 0;  ///< memory estimate used for the budget
+  /// The `.bench` source load_bench parsed (empty for insert()): what a
+  /// cluster coordinator replicates to its workers. Not serialized.
+  std::string text;
 
   /// Summary the server embeds in load_circuit/status responses:
   /// {key,name,gates,inputs,outputs,faults,cnf_vars,cnf_clauses,
@@ -83,8 +86,9 @@ class CircuitRegistry {
   /// that cannot hold the circuit it was just asked to load is useless).
   explicit CircuitRegistry(std::size_t byte_budget);
 
-  /// Parses `.bench` text, then behaves like insert(). Propagates
-  /// net::ParseError / std::runtime_error on malformed text.
+  /// Parses `.bench` text, then behaves like insert(); a new entry keeps
+  /// the text. Propagates net::ParseError / std::runtime_error on
+  /// malformed text.
   std::shared_ptr<const CircuitEntry> load_bench(std::string_view text,
                                                  std::string name,
                                                  bool* already_loaded = nullptr);
@@ -96,19 +100,14 @@ class CircuitRegistry {
   /// Loading is therefore idempotent by content hash; `already_loaded`
   /// (when non-null) reports whether this call was satisfied by a cached
   /// entry — the ack that lets a coordinator or retrying client replicate
-  /// loads blindly.
+  /// loads blindly. A new entry keeps `text` as its source.
   std::shared_ptr<const CircuitEntry> insert(net::Network net,
-                                             bool* already_loaded = nullptr);
+                                             bool* already_loaded = nullptr,
+                                             std::string text = {});
 
   /// Looks up by content-hash key; refreshes recency on hit, returns
   /// nullptr on miss.
   std::shared_ptr<const CircuitEntry> find(std::string_view key);
-
-  /// True when `key` is currently retained. A pure probe — no recency
-  /// refresh, no hit/miss accounting — for caches keyed alongside the
-  /// registry (e.g. the cluster's bench-text replication map) to evict in
-  /// step with the LRU.
-  bool retains(std::string_view key) const;
 
   RegistryStats stats() const;
 

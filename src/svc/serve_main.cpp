@@ -19,7 +19,6 @@
 //
 // --threads=0 (the default) means "auto": one job slot per hardware
 // thread, via the shared ThreadPool::resolve_thread_count helper.
-#include <atomic>
 #include <csignal>
 #include <cstdlib>
 #include <iostream>
@@ -35,12 +34,6 @@
 #include "util/threadpool.hpp"
 
 namespace {
-
-std::atomic<cwatpg::netio::NetServer*> g_net_server{nullptr};
-
-void handle_stop_signal(int) {
-  if (auto* srv = g_net_server.load()) srv->stop();
-}
 
 void print_usage(std::ostream& out, const char* argv0) {
   out << "usage: " << argv0
@@ -156,11 +149,7 @@ int main(int argc, char** argv) {
       std::cerr << " — listening on " << net_options.host << ":"
                 << net_server.port() << " (max " << net_options.max_connections
                 << " connections)\n";
-      g_net_server.store(&net_server);
-      ::signal(SIGINT, handle_stop_signal);
-      ::signal(SIGTERM, handle_stop_signal);
-      net_server.run();
-      g_net_server.store(nullptr);
+      netio::run_until_signalled(net_server);
     } else if (!connect_spec.empty()) {
       std::string host;
       std::uint16_t port = 0;

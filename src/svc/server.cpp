@@ -35,46 +35,9 @@ std::uint64_t extract_id(const obs::Json& frame) {
   }
 }
 
-}  // namespace
-
-// ---- request handling shared by every front end ---------------------------
-
-std::optional<std::uint64_t> handle_frame(
-    const obs::Json& frame, obs::MetricsRegistry& metrics,
-    const char* metric_prefix,
-    const std::function<void(const Request&)>& handle,
-    const std::function<void(const obs::Json&)>& reply) {
-  try {
-    const Request req = Request::from_json(frame);
-    metrics.counter(metric_prefix + std::string(to_string(req.kind))).add(1);
-    if (req.kind == RequestKind::kShutdown) return req.id;
-    handle(req);
-  } catch (const ProtocolError& e) {
-    reply(make_error(extract_id(frame), ErrorCode::kBadRequest, e.what()));
-  }
-  return std::nullopt;
-}
-
-std::optional<std::uint64_t> read_requests(
-    Transport& transport,
-    const std::function<std::optional<std::uint64_t>(const obs::Json&)>&
-        on_frame) {
-  obs::Json frame;
-  while (true) {
-    try {
-      if (!transport.read(frame)) return std::nullopt;  // peer closed
-    } catch (const ProtocolError& e) {
-      // Framing is lost — nothing later on the stream can be trusted, so
-      // report once and treat the session as closed (implicit shutdown).
-      transport.write(make_error(0, ErrorCode::kBadRequest, e.what()));
-      return std::nullopt;
-    }
-    if (const std::optional<std::uint64_t> id = on_frame(frame)) return id;
-  }
-}
-
-obs::Json load_circuit(CircuitRegistry& registry, const Request& req,
-                       std::shared_ptr<const CircuitEntry>* loaded) {
+/// Answers a `load_circuit` request against `registry`: the response
+/// frame, a result or a `bad_request` / `internal` error.
+obs::Json load_circuit(CircuitRegistry& registry, const Request& req) {
   std::shared_ptr<const CircuitEntry> entry;
   bool already_loaded = false;
   try {
@@ -104,7 +67,6 @@ obs::Json load_circuit(CircuitRegistry& registry, const Request& req,
     // client's input, not our bug.
     return make_error(req.id, ErrorCode::kBadRequest, e.what());
   }
-  if (loaded != nullptr) *loaded = entry;
   obs::Json result = obs::Json::object();
   result["circuit"] = entry->to_json();
   // Idempotency ack: true when the registry already held this structural
@@ -114,6 +76,10 @@ obs::Json load_circuit(CircuitRegistry& registry, const Request& req,
   result["registry"] = registry.stats().to_json();
   return make_response(req.id, std::move(result));
 }
+
+}  // namespace
+
+// ---- the run_atpg job body ------------------------------------------------
 
 obs::Json run_atpg_request(std::uint64_t job, const CircuitEntry& circuit,
                            const obs::Json& params, Budget& budget,
@@ -231,8 +197,9 @@ obs::Json atpg_result_json(std::uint64_t job, const CircuitEntry& circuit,
 
 // ---- Server ---------------------------------------------------------------
 
-Server::Server(const ServerOptions& options)
+Server::Server(const ServerOptions& options, JobExecutor* executor)
     : options_(options),
+      executor_(executor),
       pool_(ThreadPool::resolve_thread_count(options.threads), options.seed),
       registry_(options.registry_bytes),
       queue_(options.queue_capacity) {
@@ -290,28 +257,33 @@ Server::SessionId Server::open_session(std::shared_ptr<Transport> transport) {
 
 std::optional<std::uint64_t> Server::handle_session_frame(
     SessionId session, const obs::Json& frame) {
-  return handle_frame(
-      frame, metrics_, "svc.requests.",
-      [&](const Request& req) {
-        switch (req.kind) {
-          case RequestKind::kLoadCircuit:
-            write_to_session(session, load_circuit(registry_, req));
-            break;
-          case RequestKind::kRunAtpg:
-          case RequestKind::kFsim:
-            admit_job(session, req);
-            break;
-          case RequestKind::kStatus:
-            handle_status(session, req);
-            break;
-          case RequestKind::kCancel:
-            handle_cancel(session, req);
-            break;
-          case RequestKind::kShutdown:
-            break;  // handle_frame returns its id instead
-        }
-      },
-      [&](const obs::Json& reply) { write_to_session(session, reply); });
+  try {
+    const Request req = Request::from_json(frame);
+    metrics_.counter("svc.requests." + std::string(to_string(req.kind)))
+        .add(1);
+    switch (req.kind) {
+      case RequestKind::kLoadCircuit:
+        write_to_session(session, load_circuit(registry_, req));
+        break;
+      case RequestKind::kRunAtpg:
+      case RequestKind::kFsim:
+        admit_job(session, req);
+        break;
+      case RequestKind::kStatus:
+        handle_status(session, req);
+        break;
+      case RequestKind::kCancel:
+        handle_cancel(session, req);
+        break;
+      case RequestKind::kShutdown:
+        return req.id;  // the caller owns the drain and the final frame
+    }
+  } catch (const ProtocolError& e) {
+    // Answered under the frame's id when that id is well-formed.
+    write_to_session(session, make_error(extract_id(frame),
+                                         ErrorCode::kBadRequest, e.what()));
+  }
+  return std::nullopt;
 }
 
 void Server::close_session(SessionId session) {
@@ -346,10 +318,10 @@ void Server::close_session(SessionId session) {
         if (const auto it = jobs_.find(key); it != jobs_.end())
           budget = it->second.budget;
       }
-      if (budget) budget->cancel();
+      if (budget) cancel_job(*budget);
     }
   }
-  for (const std::shared_ptr<Budget>& budget : running) budget->cancel();
+  for (const std::shared_ptr<Budget>& budget : running) cancel_job(*budget);
 }
 
 void Server::serve(Transport& transport) {
@@ -363,12 +335,24 @@ void Server::serve(Transport& transport) {
   // Failpoint domain label: the reader thread's hits on shared sites (the
   // transport's svc.proto.* and net.*) count separately from the
   // client's, so a seeded schedule replays the same way regardless of
-  // peer interleaving.
-  fp::DomainScope reader_domain("svc.reader");
-  const std::optional<std::uint64_t> shutdown_id =
-      read_requests(transport, [&](const obs::Json& frame) {
-        return handle_session_frame(session, frame);
-      });
+  // peer interleaving. A caller that labelled its thread keeps its label
+  // (the cluster coordinator's reader is `cluster.reader`).
+  fp::DomainScope reader_domain(fp::thread_domain().empty()
+                                    ? std::string("svc.reader")
+                                    : fp::thread_domain());
+  std::optional<std::uint64_t> shutdown_id;
+  obs::Json frame;
+  while (!shutdown_id) {
+    try {
+      if (!transport.read(frame)) break;  // peer closed: implicit shutdown
+    } catch (const ProtocolError& e) {
+      // Framing is lost — nothing later on the stream can be trusted, so
+      // report once and treat the session as closed (implicit shutdown).
+      transport.write(make_error(0, ErrorCode::kBadRequest, e.what()));
+      break;
+    }
+    shutdown_id = handle_session_frame(session, frame);
+  }
 
   drain();
   if (shutdown_id) transport.write(shutdown_response(*shutdown_id));
@@ -493,7 +477,7 @@ void Server::handle_cancel(SessionId session, const Request& req) {
       budget = it->second.budget;
     }
   }
-  if (fire_budget && budget) budget->cancel();
+  if (fire_budget && budget) cancel_job(*budget);
   if (removed_from_queue) {
     metrics_.counter("svc.jobs.cancelled_queued").add(1);
     finish_job(key, make_error(id, ErrorCode::kCancelled,
@@ -538,6 +522,7 @@ obs::Json Server::server_status_json() {
     }
     j["interrupted_jobs"] = std::move(interrupted);
   }
+  if (executor_ != nullptr) executor_->describe(j);
   j["metrics"] = metrics_.snapshot().to_json();
   return j;
 }
@@ -654,40 +639,53 @@ void Server::execute_job(const Job& job) {
   Timer timer;
   obs::Json response;
   try {
-    if (CWATPG_FAILPOINT("svc.server.execute.throw"))
-      throw std::runtime_error(
-          "injected worker failure (svc.server.execute.throw)");
-    // Simulated wedge: wall-clock time passes with ZERO Budget progress
-    // polls — exactly the signature the watchdog hunts. Bounded by the
-    // @ms payload so drains always complete; honors cancellation unless
-    // the escalation drill arms svc.server.stall.ignore_cancel, which
-    // forces the watchdog past cancel all the way to detach.
-    if (const int stall_ms = CWATPG_FAILPOINT_ARG("svc.server.execute.stall");
-        stall_ms >= 0) {
-      const bool ignore_cancel =
-          CWATPG_FAILPOINT("svc.server.stall.ignore_cancel");
-      const auto until = Clock::now() + std::chrono::milliseconds(stall_ms);
-      while (Clock::now() < until) {
-        if (!ignore_cancel && job.budget->cancelled()) break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-    obs::Json result =
-        job.kind == RequestKind::kRunAtpg ? run_atpg_job(job) : fsim_job(job);
-    response = make_response(job.request_id, std::move(result));
-    metrics_.counter("svc.jobs.completed").add(1);
+    response = executor_ != nullptr ? executor_->execute(job)
+                                    : run_inprocess(job);
   } catch (const ProtocolError& e) {
     response = make_error(job.request_id, ErrorCode::kBadRequest, e.what());
-    metrics_.counter("svc.jobs.failed").add(1);
   } catch (const std::exception& e) {
     response = make_error(job.request_id, ErrorCode::kInternal, e.what());
-    metrics_.counter("svc.jobs.failed").add(1);
   }
+  const obs::Json* ok = response.find("ok");
+  metrics_
+      .counter(ok != nullptr && ok->is_bool() && ok->as_bool()
+                   ? "svc.jobs.completed"
+                   : "svc.jobs.failed")
+      .add(1);
   metrics_
       .histogram("svc.job_seconds",
                  std::vector<double>{0.001, 0.01, 0.1, 1.0, 10.0, 100.0})
       .observe(timer.seconds());
   finish_job(JobKey{job.session, job.request_id}, response);
+}
+
+obs::Json Server::run_inprocess(const Job& job) {
+  if (CWATPG_FAILPOINT("svc.server.execute.throw"))
+    throw std::runtime_error(
+        "injected worker failure (svc.server.execute.throw)");
+  // Simulated wedge: wall-clock time passes with ZERO Budget progress
+  // polls — exactly the signature the watchdog hunts. Bounded by the @ms
+  // payload so drains always complete; honors cancellation unless the
+  // escalation drill arms svc.server.stall.ignore_cancel, which forces the
+  // watchdog past cancel all the way to detach.
+  if (const int stall_ms = CWATPG_FAILPOINT_ARG("svc.server.execute.stall");
+      stall_ms >= 0) {
+    const bool ignore_cancel =
+        CWATPG_FAILPOINT("svc.server.stall.ignore_cancel");
+    const auto until = Clock::now() + std::chrono::milliseconds(stall_ms);
+    while (Clock::now() < until) {
+      if (!ignore_cancel && job.budget->cancelled()) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  return make_response(job.request_id, job.kind == RequestKind::kRunAtpg
+                                           ? run_atpg_job(job)
+                                           : fsim_job(job));
+}
+
+void Server::cancel_job(Budget& budget) {
+  budget.cancel();
+  if (executor_ != nullptr) executor_->cancel(budget);
 }
 
 obs::Json Server::run_atpg_job(const Job& job) {
@@ -747,13 +745,16 @@ void Server::finish_job(const JobKey& key, const obs::Json& response) {
     if (it == jobs_.end() || it->second.state == JobState::kDone)
       return;  // a terminal response was already sent — never send two
     it->second.state = JobState::kDone;
+    it->second.terminal_seq = ++terminals_;
     it->second.budget.reset();
-    done_order_.push_back(key);
+    done_order_.emplace_back(key, terminals_);
     while (done_order_.size() > kMaxDoneRecords) {
-      const JobKey victim = done_order_.front();
+      const auto [victim, seq] = done_order_.front();
       done_order_.pop_front();
+      // A reused id's older entry must not prune its newer terminal.
       if (const auto vit = jobs_.find(victim);
-          vit != jobs_.end() && vit->second.state == JobState::kDone)
+          vit != jobs_.end() && vit->second.state == JobState::kDone &&
+          vit->second.terminal_seq == seq)
         jobs_.erase(vit);
     }
   }
@@ -851,7 +852,7 @@ void Server::watchdog_loop() {
     }
     for (const std::shared_ptr<Budget>& budget : to_cancel) {
       metrics_.counter("svc.watchdog.cancelled").add(1);
-      budget->cancel();
+      cancel_job(*budget);
     }
     for (const JobKey& key : to_detach) {
       // The terminal response the client gets; whatever the wedged worker

@@ -16,10 +16,17 @@
 //   ─────────────       ─────────────────        ───────────
 //   read frame
 //   ├─ control kinds ──────────────── respond inline
-//   └─ job kinds: admit ─▶ queue ─▶ pop (priority) ─▶ execute engine
+//   └─ job kinds: admit ─▶ queue ─▶ pop (priority) ─▶ job executor
 //        │ full → `overloaded`          │                  │
 //        │                              └ cap: ≤ pool size └ terminal
 //        └ cancel: fire Budget ────────────────────────────▶ response
+//
+// The job executor is the one seam: it turns an admitted run_atpg / fsim
+// job into its terminal frame on a pool worker. By default the job runs
+// in-process on the engines; svc::Cluster plugs in an executor that
+// shards it across worker daemons. Everything else — the one job table,
+// admission, status, cancel, the exactly-once terminal and the drain —
+// is the Server's, whichever executor runs the jobs.
 //
 // Guarantees:
 //   * every admitted job produces exactly ONE terminal response — a
@@ -56,7 +63,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -64,6 +70,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -77,47 +84,15 @@
 
 namespace cwatpg::svc {
 
-// ---- request handling shared by every front end ---------------------------
-//
-// svc::Server and svc::Cluster speak the same protocol, so they share the
-// code that reads requests, registers circuits and runs and reports
-// `run_atpg` jobs. Only the scheduling differs.
-
-/// Feeds one inbound frame through the request pipeline: validates it as
-/// a Request, counts it under `<metric_prefix><kind>` and hands it to
-/// `handle`. A ProtocolError from validation or from `handle` is answered
-/// through `reply` with `bad_request`, under the frame's id when that id
-/// is well-formed. Returns the id of a `shutdown` request (which `handle`
-/// never sees); nullopt for every other frame.
-std::optional<std::uint64_t> handle_frame(
-    const obs::Json& frame, obs::MetricsRegistry& metrics,
-    const char* metric_prefix,
-    const std::function<void(const Request&)>& handle,
-    const std::function<void(const obs::Json&)>& reply);
-
-/// Reads frames from `transport` and passes each to `on_frame` until it
-/// returns a `shutdown` request's id, which is returned. Returns nullopt
-/// when the peer closes (implicit shutdown) or the framing breaks; a
-/// framing error is answered once under id 0, since nothing later on the
-/// stream can be trusted.
-std::optional<std::uint64_t> read_requests(
-    Transport& transport,
-    const std::function<std::optional<std::uint64_t>(const obs::Json&)>&
-        on_frame);
-
-/// Answers a `load_circuit` request against `registry`: the response
-/// frame, a result or a `bad_request` / `internal` error. `*loaded`, when
-/// given, receives the registered entry (null on error).
-obs::Json load_circuit(CircuitRegistry& registry, const Request& req,
-                       std::shared_ptr<const CircuitEntry>* loaded = nullptr);
+// ---- the run_atpg job body, shared with the cluster coordinator -----------
 
 /// Runs one `run_atpg` request on `circuit` under `budget` and returns its
 /// result, keys `job` through `wall_seconds`. The `deadline_seconds`
 /// param is the caller's to arm on `budget`. This is the one `run_atpg`
-/// job body: a Server runs every such job through it, and the cluster
-/// coordinator runs a poison window through it in-process, so that
-/// window's records are a worker's by construction. Throws ProtocolError
-/// on ill-typed params.
+/// job body: a Server runs every in-process job through it, and the
+/// cluster coordinator runs a poison window through it, so that window's
+/// records are a worker's by construction. Throws ProtocolError on
+/// ill-typed params.
 obs::Json run_atpg_request(std::uint64_t job, const CircuitEntry& circuit,
                            const obs::Json& params, Budget& budget,
                            obs::MetricsRegistry& metrics);
@@ -135,6 +110,29 @@ obs::Json atpg_result_json(std::uint64_t job, const CircuitEntry& circuit,
                            std::span<const std::size_t> window,
                            const obs::ReportOptions& report, StopReason stop,
                            bool raw_outcomes, const Timer& timer);
+
+/// Where a Server's admitted jobs run. A Server without one runs each job
+/// in-process on the engines; svc::Cluster is the other implementation.
+class JobExecutor {
+ public:
+  virtual ~JobExecutor() = default;
+
+  /// Turns one admitted `run_atpg` / `fsim` job into its terminal frame (a
+  /// response or an error, under the job's request id). Runs on a Server
+  /// pool worker and may block until the job is done; the job's Budget
+  /// carries its deadline and cancellation. A ProtocolError becomes a
+  /// `bad_request` terminal, any other exception an `internal` one.
+  virtual obs::Json execute(const Job& job) = 0;
+
+  /// The Server just fired `budget`, the Budget of a job that left the
+  /// queue (a cancel, its session closing, the watchdog), so the executor
+  /// can stop remote work now instead of at its next poll. Called from
+  /// any thread, outside the Server's locks.
+  virtual void cancel(const Budget& budget) = 0;
+
+  /// Adds the executor's own keys to a `status` result.
+  virtual void describe(obs::Json& status) = 0;
+};
 
 struct ServerOptions {
   /// Pool workers == max concurrently executing jobs. 0 = auto
@@ -179,7 +177,10 @@ class Server {
  public:
   using SessionId = std::uint64_t;
 
-  explicit Server(const ServerOptions& options = {});
+  /// `executor` (not owned; must outlive the Server) runs the admitted
+  /// jobs; null runs them in-process.
+  explicit Server(const ServerOptions& options = {},
+                  JobExecutor* executor = nullptr);
   ~Server();
 
   Server(const Server&) = delete;
@@ -265,6 +266,7 @@ class Server {
 
   struct JobRecord {
     JobState state = JobState::kQueued;
+    std::uint64_t terminal_seq = 0;  ///< kDone: its place in done_order_
     std::shared_ptr<Budget> budget;
     bool watchdog_eligible = false;  ///< run_atpg polls its Budget; fsim not
     // -- watchdog bookkeeping (guarded by jobs_mutex_) --
@@ -283,8 +285,12 @@ class Server {
   // -- dispatcher / execution --
   void dispatcher_loop();
   void execute_job(const Job& job);
+  /// The in-process job body: the engines, on this pool worker.
+  obs::Json run_inprocess(const Job& job);
   obs::Json run_atpg_job(const Job& job);
   obs::Json fsim_job(const Job& job);
+  /// Fires a job's budget and tells the executor.
+  void cancel_job(Budget& budget);
 
   /// Sends a job's single terminal response and flips its record to kDone.
   /// The compare-and-set under jobs_mutex_ is the exactly-once guarantee.
@@ -307,6 +313,7 @@ class Server {
   void journal_terminal(std::uint64_t job, const obs::Json& response);
 
   ServerOptions options_;
+  JobExecutor* executor_;  ///< null = in-process
   ThreadPool pool_;
   CircuitRegistry registry_;
   JobQueue queue_;
@@ -334,8 +341,10 @@ class Server {
   SessionId next_session_ = 1;  ///< guarded by jobs_mutex_
   std::unordered_map<JobKey, JobRecord, JobKeyHash> jobs_;
   /// Terminal records retained for `status` queries, pruned FIFO so a
-  /// long-lived server's table stays bounded.
-  std::deque<JobKey> done_order_;
+  /// long-lived server's table stays bounded. Each entry carries its
+  /// terminal's sequence number: a reused id's older entry prunes nothing.
+  std::deque<std::pair<JobKey, std::uint64_t>> done_order_;
+  std::uint64_t terminals_ = 0;
   static constexpr std::size_t kMaxDoneRecords = 1024;
 };
 

@@ -624,7 +624,8 @@ TEST(Cluster, ClientFaultRangeIsForwardedWhole) {
 /// armed ("" = none). Whichever way the race lands — and whatever the
 /// schedule does to the job's shards (a redispatch, a worker death, a
 /// poison window's bisection or in-process run) — there is exactly one
-/// terminal, a later `status` says "done", and the drain finishes.
+/// terminal, a later `status` says "done", and the drain finishes. A job
+/// the cancel caught in the coordinator's queue never dispatches a shard.
 void expect_cancel_is_safe_at_any_phase(const std::string& schedule,
                                         bool supervised) {
   const net::Network n = test_circuit();
@@ -644,18 +645,21 @@ void expect_cancel_is_safe_at_any_phase(const std::string& schedule,
   // Submit, cancel immediately, then read frames until the job terminal:
   // whichever way the race lands, there is exactly one terminal, and an
   // interrupted partial merge reports stop == "cancelled".
+  const std::uint64_t dispatched = fx.cluster->stats().shards_dispatched;
   const std::uint64_t job = fx.client.send("run_atpg", atpg_params(key));
   obs::Json cancel_params = obs::Json::object();
   cancel_params["job"] = job;
   const std::uint64_t cancel_id = fx.client.send("cancel", cancel_params);
   obs::Json terminal;
   bool saw_cancel_ack = false;
+  std::string state;
   for (int i = 0; i < 2; ++i) {
     obs::Json frame = fx.client.recv();
     if (frame.at("id").as_u64() == cancel_id) {
-      const std::string state =
-          frame.at("result").at("state").as_string();
-      EXPECT_TRUE(state == "cancelling" || state == "done") << state;
+      state = frame.at("result").at("state").as_string();
+      EXPECT_TRUE(state == "cancelling" || state == "done" ||
+                  state == "cancelled")
+          << state;
       saw_cancel_ack = true;
     } else {
       ASSERT_EQ(frame.at("id").as_u64(), job);
@@ -664,6 +668,12 @@ void expect_cancel_is_safe_at_any_phase(const std::string& schedule,
   }
   EXPECT_TRUE(saw_cancel_ack);
   ASSERT_TRUE(terminal.is_object()) << "no terminal for the cancelled job";
+  if (state == "cancelled") {
+    // The job had not started at the coordinator: it left the queue with
+    // the queued-cancel error, and no shard of it reached a worker.
+    ASSERT_FALSE(terminal.at("ok").as_bool()) << terminal.dump();
+    EXPECT_EQ(fx.cluster->stats().shards_dispatched, dispatched);
+  }
   if (terminal.at("ok").as_bool()) {
     const obs::Json& result = terminal.at("result");
     if (result.at("interrupted").as_bool()) {
@@ -733,9 +743,9 @@ TEST(Cluster, ForwardedJobWhoseWorkerDiesAfterItsDeadlineGetsATerminal) {
 }
 
 TEST(Cluster, CancelOfQueuedForwardedJobStillGetsATerminal) {
-  // One worker, kept busy by a one-shard atpg job: a forwarded (fsim) job
-  // queued behind it is cancelled while still queued. The cancel sweep
-  // removes its whole-job shard from the queue, so its terminal must come
+  // One worker, so the coordinator runs one job at a time: a forwarded
+  // (fsim) job waits in the coordinator's Server queue behind a
+  // one-shard atpg job and is cancelled there. Its terminal must come
   // from the cancel path itself — a leak here means no terminal for the
   // fsim job and a drain deadlock in the fixture's implicit shutdown.
   const net::Network n = test_circuit();
@@ -764,8 +774,8 @@ TEST(Cluster, CancelOfQueuedForwardedJobStillGetsATerminal) {
       EXPECT_TRUE(frame.at("ok").as_bool()) << frame.dump();
     } else if (id == fsim_job) {
       // Usually the coordinator's "cancelled while queued" error; if the
-      // race landed after dispatch, the worker's terminal. Either way,
-      // there IS a terminal — that is the contract under test.
+      // race landed after the job started, the worker's terminal. Either
+      // way, there IS a terminal — that is the contract under test.
       saw_fsim = true;
       if (!frame.at("ok").as_bool())
         EXPECT_EQ(frame.at("error").at("code").as_string(), "cancelled");
@@ -790,9 +800,21 @@ TEST(Cluster, ShutdownDrainsActiveJobsBeforeResponding) {
   options.shard_size = 4;
   ClusterFixture fx(2, options);
   const std::string key = fx.load(n);
-  // Job then shutdown, back to back: the job's terminal must arrive
-  // FIRST — the shutdown response is the last frame the cluster writes.
+  // A running job, then shutdown: the job's terminal must arrive FIRST —
+  // the shutdown response is the last frame the cluster writes. (A job
+  // still queued at the coordinator ends `shutting_down`, as on a single
+  // daemon, so wait until it runs.)
   const std::uint64_t job = fx.client.send("run_atpg", atpg_params(key));
+  obs::Json status_params = obs::Json::object();
+  status_params["job"] = job;
+  for (int i = 0; i < 1000; ++i) {
+    const std::string state = fx.client.call("status", status_params)
+                                  .at("result")
+                                  .at("state")
+                                  .as_string();
+    if (state == "running") break;
+    ASSERT_EQ(state, "queued");
+  }
   const std::uint64_t shutdown = fx.client.send("shutdown");
   obs::Json first = fx.client.recv();
   EXPECT_EQ(first.at("id").as_u64(), job);

@@ -742,6 +742,92 @@ TEST(NetCluster, RemoteWorkerDeathFailsOverToSurvivor) {
   EXPECT_EQ(stats.alive, 1u);
 }
 
+TEST(NetCluster, CollidingIdsFromTwoTcpClientsStayApart) {
+  if (!fp::kEnabled) GTEST_SKIP() << "built with CWATPG_FAILPOINTS=OFF";
+  const net::Network n = test_circuit();
+  const obs::Json single = single_node_result(n, atpg_params(""));
+  // Every shard stalls on its worker, so A's shards are out at the
+  // workers while B's wait behind them in the coordinator's shard queue.
+  fp::ScheduleScope fps("svc.server.execute.stall=always@50");
+  std::vector<std::unique_ptr<TcpWorkerDaemon>> workers;
+  std::vector<svc::Cluster::WorkerEndpoint> endpoints;
+  for (int i = 0; i < 2; ++i) {
+    workers.push_back(std::make_unique<TcpWorkerDaemon>());
+    svc::Cluster::WorkerEndpoint e;
+    e.transport = std::make_unique<netio::SocketTransport>(netio::tcp_connect(
+        "127.0.0.1", workers.back()->net_server.port()));
+    endpoints.push_back(std::move(e));
+  }
+  svc::ClusterOptions options;
+  options.shard_size = 4;
+  svc::Cluster cluster(std::move(endpoints), options);
+  netio::NetServer front(cluster.server());
+  std::thread loop([&] { front.run(); });
+
+  const auto connect = [&] {
+    return std::make_unique<netio::SocketTransport>(
+        netio::tcp_connect("127.0.0.1", front.port()));
+  };
+  auto ta = connect();
+  auto tb = connect();
+  TestClient a{ta.get(), 100};  // control requests; both jobs are id 1
+  TestClient b{tb.get(), 100};
+  const std::string key = load_over(a, n);
+  EXPECT_EQ(load_over(b, n), key);
+
+  // A's job goes first and has shards out at both workers when B, under
+  // the same request id, starts and cancels its own job.
+  ta->write(request_json(1, "run_atpg", atpg_params(key)));
+  for (int i = 0; i < 2000; ++i) {
+    if (a.call("status").at("result").at("shards_dispatched").as_u64() >= 2)
+      break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  tb->write(request_json(1, "run_atpg", atpg_params(key)));
+  obs::Json job_status = obs::Json::object();
+  job_status["job"] = std::uint64_t(1);
+  for (int i = 0; i < 1000; ++i) {
+    const std::string state =
+        b.call("status", job_status).at("result").at("state").as_string();
+    if (state == "running") break;
+    ASSERT_EQ(state, "queued");
+  }
+  const std::uint64_t cancel_id = b.send("cancel", job_status);
+
+  int b_terminals = 0;
+  for (int i = 0; i < 2; ++i) {
+    const obs::Json frame = b.recv();
+    if (frame.at("id").as_u64() == cancel_id) {
+      EXPECT_EQ(frame.at("result").at("state").as_string(), "cancelling");
+      continue;
+    }
+    ASSERT_EQ(frame.at("id").as_u64(), 1u) << frame.dump();
+    ++b_terminals;
+    if (frame.at("ok").as_bool())
+      EXPECT_EQ(frame.at("result").at("stop").as_string(), "cancelled");
+    else
+      EXPECT_EQ(frame.at("error").at("code").as_string(), "cancelled");
+  }
+  EXPECT_EQ(b_terminals, 1);
+
+  // A's job never saw B's cancel: complete, single-node identical, and
+  // not one of its shards was interrupted and redispatched.
+  const obs::Json a_terminal = a.recv();
+  ASSERT_EQ(a_terminal.at("id").as_u64(), 1u);
+  ASSERT_TRUE(a_terminal.at("ok").as_bool()) << a_terminal.dump();
+  const obs::Json& result = a_terminal.at("result");
+  EXPECT_FALSE(result.at("interrupted").as_bool());
+  expect_same_classification(single, result);
+  EXPECT_EQ(result.at("cluster").at("redispatched").as_u64(), 0u);
+
+  // Nothing else is pending on either connection: the next frame each
+  // one reads answers its own request.
+  EXPECT_EQ(b.call("status").at("result").at("sessions").as_u64(), 2u);
+  const obs::Json drained = a.call("shutdown");
+  EXPECT_TRUE(drained.at("result").at("drained").as_bool()) << drained.dump();
+  loop.join();
+}
+
 // ---- tcp_connect_retry ----------------------------------------------------
 
 /// An ephemeral port that was just free: bind, read, release.

@@ -787,6 +787,40 @@ TEST(SvcServer, StatusReportsServerAndPerJobState) {
   EXPECT_EQ(resp.at("result").at("state").as_string(), "unknown");
 }
 
+TEST(SvcServer, ReusedIdStaysDoneForTheLast1024Terminals) {
+  // Id 7 finishes twice, then 1,023 other jobs finish: both of 7's
+  // terminals are in the done history, and pruning the older one must not
+  // erase the newer one's record. The newer 7 is among the last 1,024
+  // terminals, so `status` still answers `done`.
+  ServedFixture f({.threads = 1});
+  const net::Network n = test_circuit();
+  obs::Json params = obs::Json::object();
+  params["circuit"] = f.load(n);
+  obs::Json patterns = obs::Json::array();
+  patterns.push_back(std::string(n.inputs().size(), '0'));
+  params["patterns"] = std::move(patterns);
+  const auto fsim = [&](std::uint64_t id) {
+    f.client.t->write(request_json(id, "fsim", params));
+    const obs::Json resp = f.client.recv();
+    EXPECT_EQ(resp.at("id").as_u64(), id);
+    EXPECT_TRUE(resp.at("ok").as_bool()) << resp.dump();
+  };
+  fsim(7);
+  fsim(7);
+  for (std::uint64_t id = 10000; id < 10000 + 1023; ++id) fsim(id);
+
+  const auto state = [&](std::uint64_t id) {
+    obs::Json job = obs::Json::object();
+    job["job"] = id;
+    return f.client.call("status", std::move(job))
+        .at("result")
+        .at("state")
+        .as_string();
+  };
+  EXPECT_EQ(state(7), "done");
+  EXPECT_EQ(state(10000), "done");
+}
+
 TEST(SvcServer, ExpiredDeadlineYieldsInterruptedResultNotHang) {
   // The deadline is armed at admission and already expired when the job
   // reaches a worker: the engine must stop at its first budget poll and
