@@ -132,14 +132,12 @@ int main(int argc, char** argv) {
             << " (speedup saturates at the physical core count)\n\n";
 
   // Figure-1 configuration: every fault is one independent SAT instance.
-  // Test verification is off because it serializes one fault-simulation
-  // per found test on the commit thread in BOTH engines — it is exercised
-  // by the test suite, not a scaling axis.
+  // Each found test is still verified: one single-fault simulation on the
+  // commit thread, the same serial cost in both engines.
   std::vector<obs::RunReport> reports;
   fault::AtpgOptions fig1;
   fig1.random_blocks = 0;
   fig1.drop_by_simulation = false;
-  fig1.verify_tests = false;
   fig1.seed = args.seed;
   if (!run_config(circuit, fig1, "figure-1 config (independent instances)",
                   args.csv, args.seed, reports))

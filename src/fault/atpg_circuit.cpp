@@ -14,16 +14,18 @@ AtpgCircuit build_atpg_circuit(const net::Network& netw,
       throw std::invalid_argument("build_atpg_circuit: no such pin");
   }
 
+  // C_psi^sub is the transitive fanin of the whole fanout cone: side
+  // inputs of every fanout-cone gate must be justified (net::fault_cone
+  // builds the same node set as a Network).
+  const std::size_t n = netw.node_count();
   const net::NodeId root = fault_cone_root(fault);
   const std::vector<bool> tfo = net::transitive_fanout(netw, root);
-  // Reuse fault_cone's mask logic: TFI closure of the whole fanout cone.
-  // (fault_cone also validates that the site reaches an output.)
-  const net::SubCircuit cone = net::fault_cone(netw, root);
-  std::vector<bool> in_cone(netw.node_count(), false);
-  for (net::NodeId src : cone.to_src) in_cone[src] = true;
+  std::vector<net::NodeId> tfo_nodes;
+  for (net::NodeId id = 0; id < n; ++id)
+    if (tfo[id]) tfo_nodes.push_back(id);
+  const std::vector<bool> in_cone = net::transitive_fanin(netw, tfo_nodes);
 
   AtpgCircuit atpg(fault);
-  const std::size_t n = netw.node_count();
   atpg.good_of.assign(n, net::kNullNode);
   atpg.faulty_of.assign(n, net::kNullNode);
   atpg.xor_of.assign(n, net::kNullNode);
@@ -107,6 +109,10 @@ AtpgCircuit build_atpg_circuit(const net::Network& netw,
     atpg.xor_of[po] = x;
     miter.add_output(x, netw.name_of(po));
   }
+  // A kOutput marker is in the cone exactly when it is in the fanout cone.
+  if (miter.outputs().empty())
+    throw std::invalid_argument(
+        "build_atpg_circuit: fault site reaches no output");
 
   // Excitation point: the good value of the faulted net.
   atpg.good_fault_net =

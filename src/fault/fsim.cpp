@@ -2,32 +2,23 @@
 
 #include <algorithm>
 #include <stdexcept>
-
-#include "netlist/cone.hpp"
+#include <string>
 
 namespace cwatpg::fault {
 namespace {
 
-/// Re-simulates the transitive fanout of a fault against a good frame.
-/// Returns true when any observed kOutput differs on any of the first
-/// `valid` pattern lanes.
-std::uint64_t resimulate_faulty_lanes(
-    const net::Network& netw, const StuckAtFault& fault,
-    const net::SimFrame& good, std::span<const net::NodeId> tfo_nodes,
-    std::uint64_t lane_mask, std::vector<std::uint64_t>& scratch) {
-  // scratch holds faulty values for TFO nodes; others read from `good`.
-  // TFO nodes are visited in topological order, so every in-TFO fanin is
-  // written before it is read — no clearing needed.
-  scratch.resize(netw.node_count());
-  std::vector<bool> in_tfo(netw.node_count(), false);
-  for (net::NodeId v : tfo_nodes) in_tfo[v] = true;
-  auto value_of = [&](net::NodeId v) {
-    return in_tfo[v] ? scratch[v] : good[v];
-  };
-
+/// Re-simulates the transitive fanout of `fault` against the good frame.
+/// `faulty` holds the good frame on entry and again on return: TFO nodes
+/// are visited in topological order, so each in-TFO fanin is written
+/// before it is read and every other fanin reads its good value. Returns
+/// the lanes of `lane_mask` on which some observed kOutput differs.
+std::uint64_t faulty_lanes(const net::Network& netw, const StuckAtFault& fault,
+                           const net::SimFrame& good,
+                           std::span<const net::NodeId> tfo_nodes,
+                           std::uint64_t lane_mask, net::SimFrame& faulty,
+                           std::vector<std::uint64_t>& ins) {
   const std::uint64_t stuck = fault.stuck_value ? ~0ULL : 0ULL;
   std::uint64_t diff_lanes = 0;
-  std::vector<std::uint64_t> ins;
   for (net::NodeId v : tfo_nodes) {
     const auto& node = netw.node(v);
     std::uint64_t out;
@@ -45,7 +36,7 @@ std::uint64_t resimulate_faulty_lanes(
           out = ~0ULL;
           break;
         case net::GateType::kOutput: {
-          std::uint64_t in = value_of(node.fanins[0]);
+          std::uint64_t in = faulty[node.fanins[0]];
           if (!fault.is_stem() && v == fault.node && fault.pin == 0)
             in = stuck;
           out = in;
@@ -54,7 +45,7 @@ std::uint64_t resimulate_faulty_lanes(
         default: {
           ins.clear();
           for (std::size_t p = 0; p < node.fanins.size(); ++p) {
-            std::uint64_t in = value_of(node.fanins[p]);
+            std::uint64_t in = faulty[node.fanins[p]];
             if (!fault.is_stem() && v == fault.node &&
                 static_cast<std::int32_t>(p) == fault.pin)
               in = stuck;
@@ -65,22 +56,83 @@ std::uint64_t resimulate_faulty_lanes(
         }
       }
     }
-    scratch[v] = out;
+    faulty[v] = out;
     if (node.type == net::GateType::kOutput)
       diff_lanes |= (out ^ good[v]) & lane_mask;
   }
+  for (net::NodeId v : tfo_nodes) faulty[v] = good[v];
   return diff_lanes;
 }
 
-/// TFO of a fault in topological (id) order.
-std::vector<net::NodeId> tfo_list(const net::Network& netw,
-                                  const StuckAtFault& fault) {
-  const std::vector<bool> mask =
-      net::transitive_fanout(netw, fault_cone_root(fault));
-  std::vector<net::NodeId> nodes;
-  for (net::NodeId v = 0; v < netw.node_count(); ++v)
-    if (mask[v]) nodes.push_back(v);
-  return nodes;
+/// The 64-lane loop under fault_simulate and detection_matrix. Packs
+/// `patterns` 64 to a block, simulates the good circuit once per block,
+/// re-simulates each fault's TFO against it and calls
+/// `record(fault index, block index, diff lanes)`; a fault whose record()
+/// returns false is skipped in later blocks. Its scratch is built once per
+/// call: one TFO list per fault site, in topological (id) order and shared
+/// by the site's s-a-0/s-a-1 and branch faults, and one faulty frame.
+/// Returns the call's faults/patterns/resims/node_evals counters.
+template <typename Record>
+FsimStats simulate_lanes(const net::Network& netw,
+                         std::span<const StuckAtFault> faults,
+                         std::span<const Pattern> patterns, const char* who,
+                         Record record) {
+  FsimStats stats;
+  if (patterns.empty()) return stats;
+  const std::size_t num_pis = netw.inputs().size();
+  for (const Pattern& p : patterns)
+    if (p.size() != num_pis)
+      throw std::invalid_argument(std::string(who) +
+                                  ": pattern width mismatch");
+  stats.faults = faults.size();
+  stats.patterns = patterns.size();
+
+  // One TFO list per fault site, in topological (id) order: collected
+  // breadth-first through the fanouts (stamping each node with the root),
+  // then sorted.
+  std::vector<std::vector<net::NodeId>> tfo_of(netw.node_count());
+  std::vector<net::NodeId> mark(netw.node_count(), net::kNullNode);
+  for (const StuckAtFault& fault : faults) {
+    const net::NodeId root = fault_cone_root(fault);
+    std::vector<net::NodeId>& tfo = tfo_of[root];
+    if (!tfo.empty()) continue;
+    tfo.push_back(root);
+    mark[root] = root;
+    for (std::size_t i = 0; i < tfo.size(); ++i)
+      for (net::NodeId fo : netw.fanouts(tfo[i]))
+        if (mark[fo] != root) {
+          mark[fo] = root;
+          tfo.push_back(fo);
+        }
+    std::sort(tfo.begin(), tfo.end());
+  }
+
+  std::vector<bool> active(faults.size(), true);
+  std::vector<std::uint64_t> pi_words(num_pis);
+  std::vector<std::uint64_t> ins;
+  net::SimFrame faulty;
+  for (std::size_t base = 0; base < patterns.size(); base += 64) {
+    const std::size_t lanes = std::min<std::size_t>(64, patterns.size() - base);
+    const std::uint64_t lane_mask =
+        lanes == 64 ? ~0ULL : ((1ULL << lanes) - 1);
+    std::fill(pi_words.begin(), pi_words.end(), 0);
+    for (std::size_t lane = 0; lane < lanes; ++lane)
+      for (std::size_t i = 0; i < num_pis; ++i)
+        if (patterns[base + lane][i]) pi_words[i] |= 1ULL << lane;
+    const net::SimFrame good = net::simulate64(netw, pi_words);
+    faulty = good;
+    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+      if (!active[fi]) continue;
+      const std::vector<net::NodeId>& tfo =
+          tfo_of[fault_cone_root(faults[fi])];
+      ++stats.resims;
+      stats.node_evals += tfo.size();
+      active[fi] = record(fi, base / 64,
+                          faulty_lanes(netw, faults[fi], good, tfo,
+                                       lane_mask, faulty, ins));
+    }
+  }
+  return stats;
 }
 
 }  // namespace
@@ -89,51 +141,19 @@ std::vector<bool> fault_simulate(const net::Network& netw,
                                  std::span<const StuckAtFault> faults,
                                  std::span<const Pattern> patterns,
                                  FsimStats* stats_out) {
-  // Effort counters accumulate locally and publish once at the end, so the
-  // instrumented hot loop carries no extra memory traffic.
-  FsimStats local;
   std::vector<bool> detected(faults.size(), false);
-  if (patterns.empty()) {
-    if (stats_out != nullptr) ++stats_out->calls;
-    return detected;
-  }
-  const std::size_t num_pis = netw.inputs().size();
-  for (const Pattern& p : patterns)
-    if (p.size() != num_pis)
-      throw std::invalid_argument("fault_simulate: pattern width mismatch");
-
-  local.calls = 1;
-  local.faults = faults.size();
-  local.patterns = patterns.size();
-
-  // Cache TFO lists per fault site (s-a-0/s-a-1 share them).
-  std::vector<std::vector<net::NodeId>> tfo_cache(faults.size());
-  std::vector<std::uint64_t> scratch;
-
-  for (std::size_t base = 0; base < patterns.size(); base += 64) {
-    const std::size_t lanes = std::min<std::size_t>(64, patterns.size() - base);
-    const std::uint64_t lane_mask =
-        lanes == 64 ? ~0ULL : ((1ULL << lanes) - 1);
-    std::vector<std::uint64_t> pi_words(num_pis, 0);
-    for (std::size_t lane = 0; lane < lanes; ++lane)
-      for (std::size_t i = 0; i < num_pis; ++i)
-        if (patterns[base + lane][i]) pi_words[i] |= 1ULL << lane;
-    const net::SimFrame good = net::simulate64(netw, pi_words);
-
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (detected[fi]) continue;
-      if (tfo_cache[fi].empty())
-        tfo_cache[fi] = tfo_list(netw, faults[fi]);
-      ++local.resims;
-      local.node_evals += tfo_cache[fi].size();
-      if (resimulate_faulty_lanes(netw, faults[fi], good, tfo_cache[fi],
-                                  lane_mask, scratch) != 0) {
+  std::uint64_t num_detected = 0;
+  FsimStats stats = simulate_lanes(
+      netw, faults, patterns, "fault_simulate",
+      [&](std::size_t fi, std::size_t, std::uint64_t lanes) {
+        if (lanes == 0) return true;
         detected[fi] = true;
-        ++local.detected;
-      }
-    }
-  }
-  if (stats_out != nullptr) *stats_out += local;
+        ++num_detected;
+        return false;
+      });
+  stats.calls = 1;
+  stats.detected = num_detected;
+  if (stats_out != nullptr) *stats_out += stats;
   return detected;
 }
 
@@ -147,35 +167,13 @@ bool detects(const net::Network& netw, const StuckAtFault& fault,
 std::vector<std::vector<std::uint64_t>> detection_matrix(
     const net::Network& netw, std::span<const StuckAtFault> faults,
     std::span<const Pattern> patterns) {
-  const std::size_t words = (patterns.size() + 63) / 64;
   std::vector<std::vector<std::uint64_t>> matrix(
-      faults.size(), std::vector<std::uint64_t>(words, 0));
-  if (patterns.empty()) return matrix;
-  const std::size_t num_pis = netw.inputs().size();
-  for (const Pattern& p : patterns)
-    if (p.size() != num_pis)
-      throw std::invalid_argument("detection_matrix: pattern width mismatch");
-
-  std::vector<std::vector<net::NodeId>> tfo_cache(faults.size());
-  std::vector<std::uint64_t> scratch;
-  for (std::size_t base = 0; base < patterns.size(); base += 64) {
-    const std::size_t word = base / 64;
-    const std::size_t lanes =
-        std::min<std::size_t>(64, patterns.size() - base);
-    const std::uint64_t lane_mask =
-        lanes == 64 ? ~0ULL : ((1ULL << lanes) - 1);
-    std::vector<std::uint64_t> pi_words(num_pis, 0);
-    for (std::size_t lane = 0; lane < lanes; ++lane)
-      for (std::size_t i = 0; i < num_pis; ++i)
-        if (patterns[base + lane][i]) pi_words[i] |= 1ULL << lane;
-    const net::SimFrame good = net::simulate64(netw, pi_words);
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (tfo_cache[fi].empty())
-        tfo_cache[fi] = tfo_list(netw, faults[fi]);
-      matrix[fi][word] = resimulate_faulty_lanes(
-          netw, faults[fi], good, tfo_cache[fi], lane_mask, scratch);
-    }
-  }
+      faults.size(), std::vector<std::uint64_t>((patterns.size() + 63) / 64));
+  simulate_lanes(netw, faults, patterns, "detection_matrix",
+                 [&](std::size_t fi, std::size_t block, std::uint64_t lanes) {
+                   matrix[fi][block] = lanes;
+                   return true;
+                 });
   return matrix;
 }
 

@@ -1,10 +1,13 @@
 // Parallel-pattern single-fault-propagation fault simulator.
 //
-// Substrate for (a) verifying every test the SAT engine produces and
-// (b) fault dropping in the TEGUS-style ATPG loop: a found test is
-// simulated against all still-undetected faults so their SAT instances are
-// never built. Patterns run 64 at a time; per fault only the transitive
-// fanout of the fault site is re-simulated against the good frame.
+// Substrate of the TEGUS-style ATPG loop's commit step: each found test is
+// simulated once, against its own fault and the still-undetected faults,
+// which verifies it and drops the faults it detects so their SAT instances
+// are never built. Patterns run 64 at a time; per fault only the
+// transitive fanout of the fault site is re-simulated against the good
+// frame. fault_simulate and detection_matrix share that one loop, whose
+// scratch (one TFO list per fault site, one faulty frame) is built once
+// per call.
 //
 // Thread-safe: all functions here are pure — they read the (immutable
 // after construction) Network and allocate every scratch buffer locally —

@@ -1,13 +1,11 @@
 #include "fault/incremental.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
 #include "fault/obs_hooks.hpp"
+#include "fault/solve_slot.hpp"
 #include "sat/encode.hpp"
 #include "util/threadpool.hpp"
 #include "util/timer.hpp"
@@ -447,7 +445,7 @@ IncrementalBase::IncrementalBase(const AtpgOptions& options)
       base_cap_(session_config_.max_conflicts) {
   retry_cap_ =
       (options.escalation_rounds > 0 && base_cap_ != Budget::kUnlimited)
-          ? saturating_mul(base_cap_, options.escalation_growth)
+          ? saturating_mul(base_cap_, kEscalationGrowth)
           : base_cap_;
 }
 
@@ -557,22 +555,6 @@ FaultOutcome IncrementalProvider::solve(std::size_t fault_index,
   return outcome;
 }
 
-namespace {
-
-/// One incremental solve published by a stream task. Written by exactly
-/// one worker, read by the pipeline thread after `done` flips under the
-/// mutex (same discipline as the speculative per-fault provider).
-struct IncrementalSlot {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done = false;
-  FaultOutcome outcome;
-  Pattern test;
-  std::exception_ptr error;
-};
-
-}  // namespace
-
 /// Everything the stream tasks touch, owned by shared_ptr: if the pipeline
 /// throws and the provider unwinds, in-flight tasks still hold the state
 /// (including private copies of the faults — the pipeline's own vectors
@@ -584,7 +566,7 @@ struct ParallelIncrementalProvider::State {
   std::size_t num_streams = 1;
   std::vector<StuckAtFault> fault_of_pos;
   std::vector<bool> reachable_of_pos;  // written in begin(), then read-only
-  std::vector<std::unique_ptr<IncrementalSlot>> slots;
+  std::vector<SolveSlot> slots;  ///< one per work-list position
   ParallelStats* stats = nullptr;  // outlives the pool (see run_atpg_parallel)
   std::atomic<std::uint64_t> queries{0};
   std::atomic<std::uint64_t> retries{0};
@@ -612,9 +594,7 @@ void ParallelIncrementalProvider::begin(
                            : options_.incremental_streams;
   state->fault_of_pos = fault_of_pos_;
   state->reachable_of_pos = reachable_of_pos_;
-  state->slots.reserve(work_list.size());
-  for (std::size_t p = 0; p < work_list.size(); ++p)
-    state->slots.push_back(std::make_unique<IncrementalSlot>());
+  state->slots = std::vector<SolveSlot>(work_list.size());
   state->stats = &stats_;
   state_ = state;
 
@@ -629,37 +609,18 @@ void ParallelIncrementalProvider::begin(
       SharedMiter miter(state->encoding, state->config);
       for (std::size_t p = s; p < state->slots.size();
            p += state->num_streams) {
-        FaultOutcome outcome;
-        Pattern test;
-        std::exception_ptr error;
-        try {
-          outcome = incremental_query(miter, state->fault_of_pos[p],
-                                      state->reachable_of_pos[p],
-                                      state->policy, test);
-        } catch (...) {
-          error = std::current_exception();
-        }
+        const FaultOutcome outcome =
+            state->slots[p].run(*state->stats, [&](Pattern& test) {
+              return incremental_query(miter, state->fault_of_pos[p],
+                                       state->reachable_of_pos[p],
+                                       state->policy, test);
+            });
         state->queries.fetch_add(outcome.attempts,
                                  std::memory_order_relaxed);
         if (outcome.attempts >= 2)
           state->retries.fetch_add(1, std::memory_order_relaxed);
         state->reused.fetch_add(outcome.solver_stats.reused_implications,
                                 std::memory_order_relaxed);
-        const std::size_t w = ThreadPool::worker_index();
-        if (w != ThreadPool::kNotAWorker &&
-            w < state->stats->workers.size()) {
-          WorkerStats& ws = state->stats->workers[w];
-          ++ws.solved;
-          ws.solve_seconds += outcome.solve_seconds;
-          ws.solver += outcome.solver_stats;
-        }
-        IncrementalSlot& slot = *state->slots[p];
-        std::lock_guard<std::mutex> lock(slot.mutex);
-        slot.outcome = std::move(outcome);
-        slot.test = std::move(test);
-        slot.error = error;
-        slot.done = true;
-        slot.cv.notify_one();
       }
     });
   }
@@ -667,14 +628,7 @@ void ParallelIncrementalProvider::begin(
 
 FaultOutcome ParallelIncrementalProvider::solve(std::size_t fault_index,
                                                 Pattern& test_out) {
-  const std::size_t pos = pos_of_[fault_index];
-  IncrementalSlot& slot = *state_->slots[pos];
-  std::unique_lock<std::mutex> lock(slot.mutex);
-  slot.cv.wait(lock, [&] { return slot.done; });
-  ++stats_.committed;
-  if (slot.error) std::rethrow_exception(slot.error);
-  test_out = std::move(slot.test);
-  return slot.outcome;
+  return state_->slots[pos_of_[fault_index]].take(test_out, stats_);
 }
 
 void ParallelIncrementalProvider::finalize() {

@@ -1,30 +1,26 @@
 #include "fault/parallel_atpg.hpp"
 
 #include <cassert>
-#include <condition_variable>
 #include <deque>
-#include <exception>
 #include <memory>
-#include <mutex>
 
 #include "fault/incremental.hpp"
 #include "fault/obs_hooks.hpp"
+#include "fault/solve_slot.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
 
 namespace cwatpg::fault {
 namespace {
 
-/// One speculative solve in flight. Written by exactly one worker task,
-/// read by the pipeline thread after `done` flips under the mutex.
-struct Slot {
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done = false;
-  FaultOutcome outcome;
-  Pattern test;
-  std::exception_ptr error;
-};
+/// Speculation window per pool worker: in-flight solves beyond the commit
+/// frontier. Larger hides commit latency; smaller bounds wasted solves
+/// when fault dropping is hot.
+constexpr std::size_t kLookahead = 4;
+/// Minimum faults per shard when fault simulation runs on the pool (the
+/// multi-pattern random phase); single-pattern commit simulations stay on
+/// the pipeline thread, where they are cheaper than a dispatch.
+constexpr std::size_t kSimGrain = 512;
 
 /// Speculative work-stealing strategy for the shared TEGUS pipeline.
 ///
@@ -43,7 +39,7 @@ class SpeculativeProvider final : public detail::SolveProvider {
                       std::size_t window, ParallelStats& stats)
       : pool_(pool),
         config_(config),
-        window_(window == 0 ? 1 : window),
+        window_(window),
         stats_(stats) {}
 
   void begin(const net::Network& netw, std::span<const StuckAtFault> faults,
@@ -67,22 +63,16 @@ class SpeculativeProvider final : public detail::SolveProvider {
     top_up();
     assert(!in_flight_.empty() && in_flight_.front().fault == fault_index &&
            "pipeline requested a fault outside dispatch order");
-    const std::shared_ptr<Slot> slot = in_flight_.front().slot;
+    const std::shared_ptr<detail::SolveSlot> slot = in_flight_.front().slot;
     in_flight_.pop_front();
     top_up();  // keep workers fed while we block on this slot
-
-    std::unique_lock<std::mutex> lock(slot->mutex);
-    slot->cv.wait(lock, [&] { return slot->done; });
-    ++stats_.committed;
-    if (slot->error) std::rethrow_exception(slot->error);
-    test_out = std::move(slot->test);
-    return slot->outcome;
+    return slot->take(test_out, stats_);
   }
 
  private:
   struct InFlight {
     std::size_t fault;
-    std::shared_ptr<Slot> slot;
+    std::shared_ptr<detail::SolveSlot> slot;
   };
 
   /// Dispatches work-list entries (skipping currently-dropped faults)
@@ -91,7 +81,7 @@ class SpeculativeProvider final : public detail::SolveProvider {
     while (in_flight_.size() < window_ && cursor_ < work_list_.size()) {
       const std::size_t fi = work_list_[cursor_++];
       if ((*dropped_)[fi]) continue;  // monotone: will never be requested
-      auto slot = std::make_shared<Slot>();
+      auto slot = std::make_shared<detail::SolveSlot>();
       in_flight_.push_back({fi, slot});
       ++stats_.dispatched;
       if (in_flight_.size() > stats_.max_in_flight)
@@ -101,29 +91,9 @@ class SpeculativeProvider final : public detail::SolveProvider {
       const sat::SolverConfig config = config_;
       ParallelStats* stats = &stats_;
       pool_.submit([slot, fault, netw, config, stats] {
-        FaultOutcome outcome;
-        Pattern test;
-        std::exception_ptr error;
-        try {
-          outcome = generate_test(*netw, fault, config, test);
-        } catch (...) {
-          error = std::current_exception();
-        }
-        // Worker stats are indexed by pool worker id; each entry is only
-        // ever touched by its own worker, so no lock is needed.
-        const std::size_t w = ThreadPool::worker_index();
-        if (w != ThreadPool::kNotAWorker && w < stats->workers.size()) {
-          WorkerStats& ws = stats->workers[w];
-          ++ws.solved;
-          ws.solve_seconds += outcome.solve_seconds;
-          ws.solver += outcome.solver_stats;
-        }
-        std::lock_guard<std::mutex> lock(slot->mutex);
-        slot->outcome = std::move(outcome);
-        slot->test = std::move(test);
-        slot->error = error;
-        slot->done = true;
-        slot->cv.notify_one();
+        slot->run(*stats, [&](Pattern& test) {
+          return generate_test(*netw, fault, config, test);
+        });
       });
     }
   }
@@ -158,13 +128,12 @@ AtpgResult run_atpg_parallel(const net::Network& netw,
   // pipeline thread, where they are cheaper than a round-trip dispatch.
   // Per-fault detection is independent of sharding, so results equal
   // fault_simulate's exactly.
-  const std::size_t grain = options.sim_grain == 0 ? 1 : options.sim_grain;
   const detail::FsimMetrics fsim_metrics(options.base.metrics);
-  auto simulate = [&netw, &pool, grain, &fsim_metrics](
+  auto simulate = [&netw, &pool, &fsim_metrics](
                       std::span<const StuckAtFault> faults,
                       std::span<const Pattern> patterns) {
     if (pool.size() <= 1 || patterns.size() < 64 ||
-        faults.size() < 2 * grain) {
+        faults.size() < 2 * kSimGrain) {
       FsimStats fs;
       std::vector<bool> detected = fault_simulate(
           netw, faults, patterns, fsim_metrics.enabled() ? &fs : nullptr);
@@ -172,21 +141,21 @@ AtpgResult run_atpg_parallel(const net::Network& netw,
       return detected;
     }
     std::vector<bool> detected(faults.size(), false);
-    const std::size_t chunks = (faults.size() + grain - 1) / grain;
+    const std::size_t chunks = (faults.size() + kSimGrain - 1) / kSimGrain;
     std::vector<std::vector<bool>> shard(chunks);
-    pool.parallel_for(0, faults.size(), grain,
+    pool.parallel_for(0, faults.size(), kSimGrain,
                       [&](std::size_t lo, std::size_t hi) {
                         // Counter handles are atomic, so each shard task may
                         // record its own stats concurrently.
                         FsimStats fs;
-                        shard[lo / grain] = fault_simulate(
+                        shard[lo / kSimGrain] = fault_simulate(
                             netw, faults.subspan(lo, hi - lo), patterns,
                             fsim_metrics.enabled() ? &fs : nullptr);
                         fsim_metrics.record(fs);
                       });
     for (std::size_t c = 0; c < chunks; ++c)
       for (std::size_t k = 0; k < shard[c].size(); ++k)
-        if (shard[c][k]) detected[c * grain + k] = true;
+        if (shard[c][k]) detected[c * kSimGrain + k] = true;
     return detected;
   };
 
@@ -208,7 +177,7 @@ AtpgResult run_atpg_parallel(const net::Network& netw,
     // down mid-task, so the committed prefix stays deterministic.
     SpeculativeProvider provider(pool,
                                  detail::per_fault_solver_config(options.base),
-                                 options.lookahead * pool.size(), stats);
+                                 kLookahead * pool.size(), stats);
     result = detail::run_atpg_pipeline(netw, options.base, provider, simulate);
     pool.wait_idle();  // drain discarded speculative solves before reporting
   }

@@ -17,8 +17,8 @@
 // ANY thread count, because (a) generate_test is a pure function of
 // (net, fault, solver config), (b) commits happen in serial order, and
 // (c) the random phase reuses the serial engine's RNG stream untouched.
-// The price is bounded speculative waste: at most `lookahead * threads`
-// in-flight solves can be discarded per committed dropping test.
+// The price is bounded speculative waste: at most 4 × threads in-flight
+// solves can be discarded per committed dropping test.
 //
 // Per-worker RNG streams are split from AtpgOptions::seed via
 // cwatpg::split_seed and currently drive only steal-victim selection in
@@ -33,7 +33,7 @@
 namespace cwatpg::fault {
 
 /// Options for run_atpg_parallel. `base` is the exact serial configuration
-/// being parallelized; the remaining knobs only shape scheduling, never
+/// being parallelized; the thread count only shapes scheduling, never
 /// results.
 struct ParallelAtpgOptions {
   /// Serial-engine configuration (solver, phases, seed). The parallel run
@@ -41,14 +41,6 @@ struct ParallelAtpgOptions {
   AtpgOptions base;
   /// Worker threads; 0 = ThreadPool::default_thread_count().
   std::size_t num_threads = 0;
-  /// Speculation window = lookahead * num_threads in-flight solves beyond
-  /// the commit frontier. Larger hides commit latency; smaller bounds
-  /// wasted solves when fault dropping is hot.
-  std::size_t lookahead = 4;
-  /// Minimum faults per shard when fault simulation is run on the pool
-  /// (the multi-pattern random phase); single-pattern drop simulations
-  /// stay on the pipeline thread where they are cheaper than a dispatch.
-  std::size_t sim_grain = 512;
 };
 
 /// What one worker did during a parallel run. Indexed by pool worker id.

@@ -60,6 +60,32 @@ const char* to_string(AtpgEngine engine) {
   return "per-fault";
 }
 
+void AtpgResult::count_statuses() {
+  num_detected = num_untestable = num_aborted = num_unreachable =
+      num_undetermined = 0;
+  for (const FaultOutcome& o : outcomes) {
+    switch (o.status) {
+      case FaultStatus::kDetected:
+      case FaultStatus::kDroppedBySim:
+      case FaultStatus::kDroppedRandom:
+        ++num_detected;
+        break;
+      case FaultStatus::kUntestable:
+        ++num_untestable;
+        break;
+      case FaultStatus::kAborted:
+        ++num_aborted;
+        break;
+      case FaultStatus::kUnreachable:
+        ++num_unreachable;
+        break;
+      case FaultStatus::kUndetermined:
+        ++num_undetermined;
+        break;
+    }
+  }
+}
+
 double AtpgResult::fault_efficiency() const {
   if (outcomes.empty()) return 1.0;
   return static_cast<double>(num_detected + num_untestable +
@@ -144,25 +170,78 @@ FaultOutcome generate_test(const net::Network& netw,
 
 namespace {
 
+/// Backtrack cap of the escalation ladder's PODEM fallback.
+constexpr std::uint64_t kPodemFallbackBacktracks = 20'000;
+
+/// The one commit step: where a test found by phase 2 or by the escalation
+/// ladder enters the result.
+struct TestCommitter {
+  const net::Network& netw;
+  std::span<const StuckAtFault> faults;
+  const detail::SimulateFn& simulate;
+  bool drop;
+  AtpgResult& result;
+  std::vector<bool>& dropped;
+
+  /// Commits `test`, found for faults[list[pos]], with one simulate() pass
+  /// over that fault and, when dropping, every later fault of `list` whose
+  /// status is still `open`. The first hit verifies the test (a miss is an
+  /// engine bug: std::logic_error); every other hit drops its fault to
+  /// kDroppedBySim under the same test. Returns the number dropped.
+  std::size_t commit(std::span<const std::size_t> list, std::size_t pos,
+                     FaultStatus open, Pattern test) const {
+    std::vector<std::size_t> sim_index{list[pos]};
+    if (drop)
+      for (std::size_t k = pos + 1; k < list.size(); ++k)
+        if (result.outcomes[list[k]].status == open)
+          sim_index.push_back(list[k]);
+    std::vector<StuckAtFault> sim_faults;
+    sim_faults.reserve(sim_index.size());
+    for (const std::size_t fi : sim_index) sim_faults.push_back(faults[fi]);
+    const std::vector<bool> hit =
+        simulate(sim_faults, std::span<const Pattern>(&test, 1));
+    if (!hit[0])
+      throw std::logic_error("run_atpg: test fails to detect " +
+                             to_string(netw, sim_faults[0]));
+
+    const auto index = static_cast<std::int64_t>(result.tests.size());
+    result.tests.push_back(std::move(test));
+    result.outcomes[sim_index[0]].test_index = index;
+    std::size_t num_dropped = 0;
+    for (std::size_t j = 1; j < hit.size(); ++j) {
+      if (!hit[j]) continue;
+      FaultOutcome& outcome = result.outcomes[sim_index[j]];
+      outcome.status = FaultStatus::kDroppedBySim;
+      outcome.test_index = index;
+      dropped[sim_index[j]] = true;
+      ++num_dropped;
+    }
+    return num_dropped;
+  }
+};
+
 /// Phase 3: the abort-escalation ladder. Re-attacks every still-kAborted
 /// fault, in fault order, with geometrically growing conflict caps, then
 /// hands the survivors to structural PODEM — a genuinely different search
-/// that succeeds on some instances CDCL abandons. Tests found here feed
-/// simulation-based dropping against the remaining aborted faults, so one
-/// recovered test can clear several aborts. Runs on the pipeline thread in
-/// both engines, so serial and parallel results stay byte-identical.
+/// that succeeds on some instances CDCL abandons. Tests found here are
+/// committed against the remaining aborted faults, so one recovered test
+/// can clear several aborts. Runs on the pipeline thread in both engines,
+/// so serial and parallel results stay byte-identical.
 void escalate_aborted(const net::Network& netw, const AtpgOptions& options,
                       std::span<const StuckAtFault> faults,
                       detail::SolveProvider& provider,
-                      const detail::SimulateFn& simulate,
-                      AtpgResult& result) {
+                      const TestCommitter& committer, AtpgResult& result) {
   // Growing an unlimited conflict cap is meaningless: the first pass
   // already searched without one, so a repeat would abort identically.
   const bool sat_rounds =
       options.escalation_rounds > 0 &&
       options.solver.max_conflicts != Budget::kUnlimited;
-  if ((!sat_rounds && !options.podem_fallback) || result.num_aborted == 0)
-    return;
+  if (!sat_rounds && !options.podem_fallback) return;
+  std::vector<std::size_t> aborted;
+  for (std::size_t i = 0; i < result.outcomes.size(); ++i)
+    if (result.outcomes[i].status == FaultStatus::kAborted)
+      aborted.push_back(i);
+  if (aborted.empty()) return;
   const Budget* budget = options.budget;
 
   obs::EventSink* const trace = options.trace;
@@ -176,11 +255,6 @@ void escalate_aborted(const net::Network& netw, const AtpgOptions& options,
                                              obs::solve_time_bounds_ms());
   }
 
-  std::vector<std::size_t> aborted;
-  for (std::size_t i = 0; i < result.outcomes.size(); ++i)
-    if (result.outcomes[i].status == FaultStatus::kAborted)
-      aborted.push_back(i);
-
   for (std::size_t a = 0; a < aborted.size(); ++a) {
     const std::size_t fi = aborted[a];
     FaultOutcome& outcome = result.outcomes[fi];
@@ -190,55 +264,45 @@ void escalate_aborted(const net::Network& netw, const AtpgOptions& options,
       return;
     }
 
-    Pattern test;
-    bool resolved = false;
-    bool provider_final = false;
-
     // A provider may supply the fault's final escalated outcome wholesale
     // (the cluster merge replays recorded worker escalations this way);
     // the built-in ladder is the nullopt fall-through.
+    Pattern test;
     if (std::optional<FaultOutcome> recorded = provider.escalate(fi, test)) {
       outcome = *recorded;
-      resolved = outcome.status != FaultStatus::kAborted;
-      provider_final = true;
-    }
-
-    if (!provider_final && sat_rounds) {
+    } else {
       std::uint64_t cap = options.solver.max_conflicts;
       for (std::size_t round = 0;
-           round < options.escalation_rounds && !resolved; ++round) {
-        cap = saturating_mul(cap, options.escalation_growth);
+           sat_rounds && round < options.escalation_rounds &&
+           outcome.status == FaultStatus::kAborted;
+           ++round) {
+        cap = saturating_mul(cap, kEscalationGrowth);
         sat::SolverConfig config = detail::per_fault_solver_config(options);
         config.max_conflicts = cap;
-        FaultOutcome retry = generate_test(netw, faults[fi], config, test);
-        retry.engine = SolveEngine::kSatRetry;
-        retry.attempts = outcome.attempts + 1;
-        outcome = retry;
-        resolved = retry.status != FaultStatus::kAborted;
+        const std::uint32_t attempts = outcome.attempts + 1;
+        outcome = generate_test(netw, faults[fi], config, test);
+        outcome.engine = SolveEngine::kSatRetry;
+        outcome.attempts = attempts;
         if (c_retries != nullptr) {
           c_retries->add(1);
-          h_solve_ms->observe(retry.solve_seconds * 1e3);
+          h_solve_ms->observe(outcome.solve_seconds * 1e3);
         }
         if (budget != nullptr && budget->exhausted()) break;
       }
-    }
-
-    if (!provider_final && !resolved && options.podem_fallback &&
-        !(budget != nullptr && budget->exhausted())) {
-      PodemOptions podem_options;
-      podem_options.max_backtracks = options.podem_max_backtracks;
-      const PodemResult structural = podem(netw, faults[fi], podem_options);
-      ++outcome.attempts;
-      if (c_podem != nullptr) c_podem->add(1);
-      if (structural.status != PodemStatus::kAborted) {
-        outcome.engine = SolveEngine::kPodem;
-        if (structural.status == PodemStatus::kDetected) {
-          outcome.status = FaultStatus::kDetected;
+      if (outcome.status == FaultStatus::kAborted && options.podem_fallback &&
+          !(budget != nullptr && budget->exhausted())) {
+        PodemOptions podem_options;
+        podem_options.max_backtracks = kPodemFallbackBacktracks;
+        const PodemResult structural = podem(netw, faults[fi], podem_options);
+        ++outcome.attempts;
+        if (c_podem != nullptr) c_podem->add(1);
+        if (structural.status != PodemStatus::kAborted) {
+          outcome.engine = SolveEngine::kPodem;
+          outcome.status = structural.status == PodemStatus::kDetected
+                               ? FaultStatus::kDetected
+                               : FaultStatus::kUntestable;
           test = structural.test;
-        } else {
-          outcome.status = FaultStatus::kUntestable;
         }
-        resolved = true;
       }
     }
 
@@ -248,44 +312,11 @@ void escalate_aborted(const net::Network& netw, const AtpgOptions& options,
                     {"status", to_string(outcome.status)},
                     {"engine", to_string(outcome.engine)},
                     {"attempts", outcome.attempts}});
-    if (!resolved) continue;
-
-    --result.num_aborted;
+    if (outcome.status == FaultStatus::kAborted) continue;
     ++result.num_escalated;
-    if (outcome.status == FaultStatus::kUntestable) {
-      ++result.num_untestable;
-      continue;
-    }
-    if (options.verify_tests && !detects(netw, faults[fi], test))
-      throw std::logic_error("run_atpg: escalated test fails to detect " +
-                             to_string(netw, faults[fi]));
-    outcome.test_index = static_cast<std::int64_t>(result.tests.size());
-    result.tests.push_back(std::move(test));
-    ++result.num_detected;
-    if (!options.drop_by_simulation) continue;
-
-    // One recovered test may clear several aborts: simulate it against
-    // the still-aborted tail.
-    std::vector<StuckAtFault> rest;
-    std::vector<std::size_t> rest_index;
-    for (std::size_t b = a + 1; b < aborted.size(); ++b) {
-      if (result.outcomes[aborted[b]].status == FaultStatus::kAborted) {
-        rest.push_back(faults[aborted[b]]);
-        rest_index.push_back(aborted[b]);
-      }
-    }
-    if (rest.empty()) continue;
-    const Pattern recovered[] = {result.tests.back()};
-    const std::vector<bool> hit = simulate(rest, recovered);
-    for (std::size_t j = 0; j < rest.size(); ++j) {
-      if (!hit[j]) continue;
-      FaultOutcome& dropped = result.outcomes[rest_index[j]];
-      dropped.status = FaultStatus::kDroppedBySim;
-      dropped.test_index = static_cast<std::int64_t>(result.tests.size()) - 1;
-      --result.num_aborted;
-      ++result.num_detected;
-      ++result.num_escalated;
-    }
+    if (outcome.status == FaultStatus::kDetected)
+      result.num_escalated += committer.commit(
+          aborted, a, FaultStatus::kAborted, std::move(test));
   }
 }
 
@@ -369,21 +400,21 @@ AtpgResult run_atpg_pipeline(const net::Network& netw,
     // Keep only the patterns that contributed; simplest faithful policy:
     // keep all (the paper's experiment is about the SAT instances, not
     // pattern-set compaction).
+    std::size_t random_dropped = 0;
     for (std::size_t k = 0; k < sim_faults.size(); ++k) {
       const std::size_t i = windowed ? scope_index[k] : k;
       if (detected[k]) {
         result.outcomes[i].status = FaultStatus::kDroppedRandom;
-        ++result.num_detected;
+        ++random_dropped;
       } else {
         undetected.push_back(i);
       }
     }
     if (metrics != nullptr) {
       metrics->counter("atpg.random.patterns").add(random_patterns.size());
-      metrics->counter("atpg.random.dropped").add(result.num_detected);
+      metrics->counter("atpg.random.dropped").add(random_dropped);
     }
-    random_span.note({"dropped", static_cast<std::uint64_t>(
-                                     result.num_detected)});
+    random_span.note({"dropped", static_cast<std::uint64_t>(random_dropped)});
     for (Pattern& p : random_patterns) result.tests.push_back(std::move(p));
   } else if (windowed) {
     undetected = scope_index;
@@ -391,15 +422,18 @@ AtpgResult run_atpg_pipeline(const net::Network& netw,
     for (std::size_t i = 0; i < faults.size(); ++i) undetected.push_back(i);
   }
 
-  // Phase 2: SAT per remaining fault, with simulation-based dropping.
-  // Commits strictly in work-list order so that which fault is kDetected
-  // vs kDroppedBySim — and every test_index — is scheduling-independent.
+  // Phase 2: SAT per remaining fault, each found test committed (verified,
+  // and dropping the faults it detects) before the next solve. Commits
+  // strictly in work-list order so that which fault is kDetected vs
+  // kDroppedBySim — and every test_index — is scheduling-independent.
   // The budget is checked between commits: when it fires the loop stops,
   // `interrupted` is set, and every unreached fault stays kUndetermined —
   // the committed prefix is exactly what an uninterrupted run would have
   // produced for those faults.
   std::vector<bool> dropped(faults.size(), false);
   provider.begin(netw, faults, undetected, dropped);
+  const TestCommitter committer{netw, faults, simulate,
+                                options.drop_by_simulation, result, dropped};
   // Hoisted instrument handles: one registry lookup here, a relaxed add per
   // solve inside the loop (obs/metrics.hpp hot-path discipline).
   obs::Counter* c_solves = nullptr;
@@ -434,56 +468,10 @@ AtpgResult run_atpg_pipeline(const net::Network& netw,
                     {"vars", static_cast<std::uint64_t>(outcome.sat_vars)},
                     {"conflicts", outcome.solver_stats.conflicts},
                     {"ms", outcome.solve_seconds * 1e3}});
-    if (outcome.status == FaultStatus::kUnreachable) {
-      ++result.num_unreachable;
-      continue;
-    }
-
-    switch (outcome.status) {
-      case FaultStatus::kDetected: {
-        if (options.verify_tests && !detects(netw, faults[fi], test))
-          throw std::logic_error("run_atpg: generated test fails to detect " +
-                                 to_string(netw, faults[fi]));
-        outcome.test_index = static_cast<std::int64_t>(result.tests.size());
-        result.tests.push_back(test);
-        ++result.num_detected;
-        if (options.drop_by_simulation) {
-          // Simulate this single test against the remaining tail.
-          std::vector<StuckAtFault> rest;
-          std::vector<std::size_t> rest_index;
-          for (std::size_t j = idx + 1; j < undetected.size(); ++j) {
-            const std::size_t fj = undetected[j];
-            if (!dropped[fj]) {
-              rest.push_back(faults[fj]);
-              rest_index.push_back(fj);
-            }
-          }
-          const Pattern tests[] = {test};
-          const std::vector<bool> hit = simulate(rest, tests);
-          for (std::size_t j = 0; j < rest.size(); ++j) {
-            if (hit[j]) {
-              if (c_sim_dropped != nullptr) c_sim_dropped->add(1);
-              dropped[rest_index[j]] = true;
-              result.outcomes[rest_index[j]].fault = rest[j];
-              result.outcomes[rest_index[j]].status =
-                  FaultStatus::kDroppedBySim;
-              result.outcomes[rest_index[j]].test_index =
-                  static_cast<std::int64_t>(result.tests.size()) - 1;
-              ++result.num_detected;
-            }
-          }
-        }
-        break;
-      }
-      case FaultStatus::kUntestable:
-        ++result.num_untestable;
-        break;
-      case FaultStatus::kAborted:
-        ++result.num_aborted;
-        break;
-      default:
-        break;
-    }
+    if (outcome.status != FaultStatus::kDetected) continue;
+    const std::size_t num_dropped = committer.commit(
+        undetected, idx, FaultStatus::kUndetermined, std::move(test));
+    if (c_sim_dropped != nullptr) c_sim_dropped->add(num_dropped);
   }
 
   sat_span.finish();
@@ -492,12 +480,10 @@ AtpgResult run_atpg_pipeline(const net::Network& netw,
   // structural PODEM fallback) while budget remains.
   if (!result.interrupted) {
     obs::Span escalate_span(trace, "atpg.phase.escalate");
-    escalate_aborted(netw, options, faults, provider, simulate, result);
+    escalate_aborted(netw, options, faults, provider, committer, result);
   }
 
-  for (const FaultOutcome& o : result.outcomes)
-    if (o.status == FaultStatus::kUndetermined) ++result.num_undetermined;
-
+  result.count_statuses();
   if (metrics != nullptr) {
     // End-of-run rollup: one pass over the outcomes, not per-solve traffic.
     sat::SolverStats total;

@@ -5,8 +5,10 @@
 // C_psi^ATPG (Figure 3), encode it as CIRCUIT-SAT (Figure 2), strengthen
 // with the excitation unit clause (the good value of the faulted net must
 // be the complement of the stuck value), and hand it to the CDCL solver.
-// Every generated test is verified by fault simulation and used to drop
-// still-undetected faults.
+// Each test found, by that pass or by the escalation ladder for aborted
+// faults, is committed in one fault-simulation pass over its own fault and
+// the still-open faults after it: the pass verifies the test and drops
+// every fault it detects.
 //
 // The engine records, per SAT instance, the variable count and the solve
 // time — exactly the two axes of the paper's Figure 1 scatter.
@@ -111,17 +113,21 @@ struct FaultOutcome {
   }
 };
 
+/// Geometric growth factor of the escalation ladder's conflict cap per
+/// round (AtpgOptions::escalation_rounds).
+inline constexpr std::uint64_t kEscalationGrowth = 4;
+
 struct AtpgOptions {
   sat::SolverConfig solver;
   /// Collapse the fault list before test generation.
   bool collapse_faults = true;
   /// 64-pattern random blocks applied before SAT (0 disables).
   std::size_t random_blocks = 4;
-  /// Drop undetected faults by simulating each new test.
+  /// Drop undetected faults by simulating each new test against them.
+  /// Each test is verified in the same pass, with or without dropping (a
+  /// test that misses its own fault throws std::logic_error — an engine
+  /// bug, not a data error).
   bool drop_by_simulation = true;
-  /// Verify each extracted test by fault simulation (throws
-  /// std::logic_error on mismatch — an engine bug, not a data error).
-  bool verify_tests = true;
   std::uint64_t seed = 0x7e57ab1e;
 
   /// Optional run-level budget: wall-clock deadline and/or cooperative
@@ -138,19 +144,15 @@ struct AtpgOptions {
 
   /// Escalation ladder for aborted faults: after the main pass, each
   /// kAborted fault is re-attacked up to this many times, multiplying
-  /// solver.max_conflicts by escalation_growth per round (skipped when
+  /// solver.max_conflicts by kEscalationGrowth per round (skipped when
   /// solver.max_conflicts is unlimited — re-running the identical search
   /// cannot help). 0 disables the SAT rounds.
   std::size_t escalation_rounds = 3;
-  /// Geometric growth factor for the ladder's conflict cap.
-  std::uint64_t escalation_growth = 4;
   /// After the SAT rounds, fall back to the structural PODEM engine
-  /// (fault/podem.hpp) as a last resort — a different search (5-valued
-  /// D-calculus over PI assignments) that succeeds on some instances CDCL
-  /// abandons, and vice versa.
+  /// (fault/podem.hpp, capped at 20,000 backtracks) as a last resort — a
+  /// different search (5-valued D-calculus over PI assignments) that
+  /// succeeds on some instances CDCL abandons, and vice versa.
   bool podem_fallback = true;
-  /// Backtrack cap for the PODEM fallback.
-  std::uint64_t podem_max_backtracks = 20'000;
 
   /// Optional shard window: indices into the (collapsed) fault list this
   /// run is responsible for, strictly increasing. Empty = all faults (the
@@ -215,6 +217,11 @@ struct AtpgResult {
   /// Whole-run wall-clock, stamped by the pipeline on return — what
   /// obs::build_run_report() uses unless the caller timed the run itself.
   double wall_seconds = 0.0;
+
+  /// Sets num_detected, num_untestable, num_aborted, num_unreachable and
+  /// num_undetermined from `outcomes` in one pass: the pipeline's only
+  /// writer of those counters (num_escalated is the ladder's own count).
+  void count_statuses();
 
   /// Fault efficiency: (detected + proven untestable + unreachable) / all.
   double fault_efficiency() const;
@@ -281,9 +288,9 @@ class SolveProvider {
   /// supplies that fault's final escalated classification wholesale (plus
   /// the test through `test_out` when detected) and suppresses the ladder
   /// for it; returning nullopt (the default) runs the built-in ladder.
-  /// The pipeline still does all the bookkeeping — verification, test
-  /// commitment, drop-by-simulation against the remaining aborted tail —
-  /// so a provider that replays recorded per-fault escalations (the
+  /// The pipeline still commits a detected outcome's test — verification
+  /// and drop-by-simulation against the remaining aborted tail, in one
+  /// pass — so a provider that replays recorded per-fault escalations (the
   /// cluster's merge) reproduces the serial engine's result exactly.
   virtual std::optional<FaultOutcome> escalate(std::size_t fault_index,
                                                Pattern& test_out) {
@@ -309,7 +316,9 @@ using SimulateFn = std::function<std::vector<bool>(
 
 /// The TEGUS skeleton shared by run_atpg and run_atpg_parallel: collapse,
 /// random phase (seeded from options.seed), then per-fault solves through
-/// `provider` with simulation-based dropping through `simulate`. The
+/// `provider`, then the escalation ladder. Every test found is committed
+/// through `simulate` exactly once, with its own fault first in the fault
+/// list and, when dropping, the still-open faults after it. The
 /// classification it produces is a pure function of (net, options) —
 /// provider scheduling can never leak into the result.
 AtpgResult run_atpg_pipeline(const net::Network& net,

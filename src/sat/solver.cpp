@@ -9,6 +9,15 @@
 
 namespace cwatpg::sat {
 
+namespace {
+
+/// VSIDS decay applied per conflict.
+constexpr double kActivityDecay = 0.95;
+/// Conflicts per Luby restart unit.
+constexpr std::uint64_t kRestartUnit = 64;
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // Indexed max-heap over variable activities (decision ordering).
 
@@ -335,7 +344,7 @@ SolveStatus Solver::solve(std::span<const Lit> assumptions) {
   }
 
   std::uint64_t conflicts_until_restart =
-      config_.restart_unit * luby(stats_.restarts);
+      kRestartUnit * luby(stats_.restarts);
   Clause learnt;
 
   // The poll trigger watches loop iterations as well as propagations:
@@ -390,7 +399,7 @@ SolveStatus Solver::solve(std::span<const Lit> assumptions) {
         stats_.learnt_literals += learnt.size();
         enqueue(learnt[0], ci);
       }
-      activity_increment_ /= config_.activity_decay;
+      activity_increment_ /= kActivityDecay;
       if (conflicts_until_restart > 0) --conflicts_until_restart;
       continue;
     }
@@ -398,7 +407,7 @@ SolveStatus Solver::solve(std::span<const Lit> assumptions) {
     if (conflicts_until_restart == 0 &&
         trail_limits_.size() > assumptions.size()) {
       ++stats_.restarts;
-      conflicts_until_restart = config_.restart_unit * luby(stats_.restarts);
+      conflicts_until_restart = kRestartUnit * luby(stats_.restarts);
       // Keep the assumption levels; restart the free search only.
       backtrack_to(static_cast<std::uint32_t>(assumptions.size()));
       continue;

@@ -69,10 +69,6 @@ struct SolverConfig {
   /// conflicts on earlier queries still gets the full cap on the next one
   /// (identical to the old cumulative reading for one-shot solvers).
   std::uint64_t max_conflicts = std::uint64_t(-1);
-  /// VSIDS decay applied per conflict.
-  double activity_decay = 0.95;
-  /// Conflicts per Luby restart unit.
-  std::uint64_t restart_unit = 64;
   /// Optional external resource budget (deadline, hard effort caps,
   /// cooperative cancellation). Not owned; must outlive every solve()
   /// call. The solver honors min(max_conflicts, budget->max_conflicts)

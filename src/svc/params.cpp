@@ -118,12 +118,15 @@ fault::AtpgOptions atpg_options_from_params(const obs::Json& params,
         fault_index((*range)[0], num_faults, "fault_range");
     const std::size_t hi =
         fault_index((*range)[1], num_faults, "fault_range");
-    if (lo > hi) throw ProtocolError("fault_range lo exceeds hi");
+    if (lo >= hi)
+      throw ProtocolError("param \"fault_range\" must be a non-empty "
+                          "[lo, hi) pair");
     opts.fault_subset.reserve(hi - lo);
     for (std::size_t i = lo; i < hi; ++i) opts.fault_subset.push_back(i);
   } else if (ids != nullptr) {
-    if (!ids->is_array())
-      throw ProtocolError("param \"fault_ids\" must be an array of indices");
+    if (!ids->is_array() || ids->size() == 0)
+      throw ProtocolError(
+          "param \"fault_ids\" must be a non-empty array of indices");
     opts.fault_subset.reserve(ids->size());
     for (const obs::Json& v : ids->items()) {
       const std::size_t i = fault_index(v, num_faults, "fault_ids");

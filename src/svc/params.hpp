@@ -34,7 +34,9 @@ std::string param_string_required(const obs::Json& params, const char* key);
 /// registry's prebuilt miter for "incremental"), drop_by_simulation, and
 /// the optional shard window — `fault_range` ([lo,hi) pair over the
 /// collapsed fault list) or `fault_ids` (strictly increasing index array).
-/// The run-level budget is NOT set here (each caller owns its own).
+/// An empty window, in either form, is a bad request: the engine reads an
+/// empty fault_subset as "every fault". The run-level budget is NOT set
+/// here (each caller owns its own).
 fault::AtpgOptions atpg_options_from_params(const obs::Json& params,
                                             const CircuitEntry& circuit);
 

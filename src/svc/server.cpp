@@ -137,15 +137,8 @@ obs::Json atpg_result_json(std::uint64_t job, const CircuitEntry& circuit,
     for (const std::size_t fi : window)
       pruned.outcomes.push_back(result.outcomes[fi]);
     pruned.tests = result.tests;
-    pruned.num_detected = result.num_detected;
-    pruned.num_untestable = result.num_untestable;
-    pruned.num_aborted = result.num_aborted;
-    pruned.num_unreachable = result.num_unreachable;
+    pruned.count_statuses();
     pruned.num_escalated = result.num_escalated;
-    pruned.num_undetermined = 0;
-    for (const fault::FaultOutcome& o : pruned.outcomes)
-      if (o.status == fault::FaultStatus::kUndetermined)
-        ++pruned.num_undetermined;
     pruned.interrupted = result.interrupted;
     pruned.wall_seconds = result.wall_seconds;
     view = &pruned;

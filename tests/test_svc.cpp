@@ -25,6 +25,7 @@
 #include "fault/fsim.hpp"
 #include "fault/tegus.hpp"
 #include "gen/structured.hpp"
+#include "gen/trees.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/decompose.hpp"
 #include "svc/client.hpp"
@@ -720,6 +721,29 @@ TEST(SvcServer, RunAtpgRejectsUnknownEngine) {
   params["engine"] = "quantum";
   obs::Json resp = f.client.call("run_atpg", std::move(params));
   EXPECT_EQ(resp.at("error").at("code").as_string(), "bad_request");
+}
+
+TEST(SvcServer, EmptyFaultWindowIsABadRequest) {
+  // The engine reads an empty fault_subset as "every fault", so an empty
+  // window must never reach it: c17 has 22 collapsed faults, and both
+  // empty forms used to answer for all of them.
+  ServedFixture f({.threads = 1});
+  const std::string key = f.load(gen::c17());
+  const auto run = [&](const char* form, std::vector<std::uint64_t> window) {
+    obs::Json params = obs::Json::object();
+    params["circuit"] = key;
+    obs::Json indices = obs::Json::array();
+    for (const std::uint64_t i : window) indices.push_back(i);
+    params[form] = std::move(indices);
+    return f.client.call("run_atpg", std::move(params));
+  };
+  for (const obs::Json& resp :
+       {run("fault_range", {3, 3}), run("fault_ids", {})})
+    EXPECT_EQ(resp.at("error").at("code").as_string(), "bad_request")
+        << resp.dump();
+  const obs::Json two = run("fault_range", {0, 2});
+  ASSERT_TRUE(two.at("ok").as_bool()) << two.dump();
+  EXPECT_EQ(two.at("result").at("faults").as_u64(), 2u);
 }
 
 TEST(SvcServer, ServedFsimMatchesDirectCall) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "fault/tegus.hpp"
 #include "gen/hutton.hpp"
 #include "gen/structured.hpp"
+#include "gen/suites.hpp"
 #include "gen/trees.hpp"
 #include "netlist/decompose.hpp"
 
@@ -218,6 +222,73 @@ TEST(Tegus, PerInstanceStatsForFigure1) {
     }
   }
   EXPECT_EQ(with_instances, r.outcomes.size() - r.num_unreachable);
+}
+
+/// The serial per-fault strategy run_atpg plugs into the pipeline.
+class PerFaultProvider final : public detail::SolveProvider {
+ public:
+  explicit PerFaultProvider(const sat::SolverConfig& config)
+      : config_(config) {}
+  void begin(const net::Network& netw, std::span<const StuckAtFault> faults,
+             std::span<const std::size_t>, const std::vector<bool>&) override {
+    netw_ = &netw;
+    faults_ = faults;
+  }
+  FaultOutcome solve(std::size_t fi, Pattern& test) override {
+    return generate_test(*netw_, faults_[fi], config_, test);
+  }
+
+ private:
+  sat::SolverConfig config_;
+  const net::Network* netw_ = nullptr;
+  std::span<const StuckAtFault> faults_;
+};
+
+TEST(Tegus, EachCommittedTestIsSimulatedOnceWithItsOwnFaultFirst) {
+  // One conflict per solve makes the escalation ladder find tests too, so
+  // both phases' commits are counted.
+  gen::SuiteOptions suite_opts;
+  suite_opts.scale = 0.1;
+  net::Network n;
+  for (net::Network& member : gen::iscas85_like_suite(suite_opts))
+    if (member.name() == "s2670b") n = std::move(member);
+  ASSERT_GT(n.node_count(), 0u);
+  for (const bool drop : {true, false}) {
+    AtpgOptions opts;
+    opts.solver.max_conflicts = 1;
+    opts.drop_by_simulation = drop;
+    std::vector<StuckAtFault> first_fault;  // one per single-test call
+    const detail::SimulateFn simulate =
+        [&](std::span<const StuckAtFault> faults,
+            std::span<const Pattern> patterns) {
+          if (patterns.size() == 1) first_fault.push_back(faults.front());
+          return fault_simulate(n, faults, patterns);
+        };
+    PerFaultProvider provider(detail::per_fault_solver_config(opts));
+    const AtpgResult r = detail::run_atpg_pipeline(n, opts, provider, simulate);
+    const std::size_t random = opts.random_blocks * 64;
+    ASSERT_EQ(first_fault.size(), r.tests.size() - random) << drop;
+    std::size_t ladder_tests = 0;
+    for (const FaultOutcome& o : r.outcomes) {
+      if (o.status != FaultStatus::kDetected) continue;
+      EXPECT_EQ(first_fault[o.test() - random], o.fault) << drop;
+      if (o.engine == SolveEngine::kSatRetry) ++ladder_tests;
+    }
+    EXPECT_GT(ladder_tests, 0u) << drop;
+  }
+}
+
+TEST(Tegus, TestThatMissesItsOwnFaultIsAnEngineBug) {
+  const net::Network n = gen::c17();
+  AtpgOptions opts;
+  opts.random_blocks = 0;
+  PerFaultProvider provider(detail::per_fault_solver_config(opts));
+  const detail::SimulateFn miss_all = [](std::span<const StuckAtFault> faults,
+                                         std::span<const Pattern>) {
+    return std::vector<bool>(faults.size(), false);
+  };
+  EXPECT_THROW(detail::run_atpg_pipeline(n, opts, provider, miss_all),
+               std::logic_error);
 }
 
 class TegusFamilies : public ::testing::TestWithParam<int> {};
