@@ -2,9 +2,10 @@
 """Smoke-drives cwatpg_serve over cwatpg.rpc/1 and validates responses.
 
 Starts the daemon, then walks the whole request surface: load_circuit,
-status, fsim, run_atpg (serial + parallel determinism check), cancel
-(unknown job and a live one), an intentionally malformed request, and a
-graceful shutdown. Exits nonzero on the first schema or semantics
+status, fsim, run_atpg (serial + parallel determinism check, and the
+registry growing only with the first incremental job), cancel (unknown
+job and a live one), intentionally malformed requests, and a graceful
+shutdown. Exits nonzero on the first schema or semantics
 violation — the CI service-smoke job runs exactly this.
 
 With --chaos-kill it instead exercises the crash-recovery journal: start
@@ -20,6 +21,8 @@ still complete with totals and tests identical to an undisturbed run,
 each dead slot must come back as generation 2 with `last_exit` "signal 9"
 and no zombie left behind, and the totals in `status` must accumulate
 across generations. This is the self-healing worker-failover guarantee.
+A forwarded incremental job must leave the coordinator's registry as the
+load left it.
 
 With --tcp the daemon is booted with --listen on an ephemeral loopback
 port (parsed from its stderr banner) and driven over real sockets: two
@@ -309,6 +312,7 @@ def cluster_smoke(binary):
         raise SystemExit(f"FAIL (timeout): {what}\nlast status: {st}")
 
     st = status()
+    loaded_bytes = st["registry"]["bytes"]
     check(st.get("cluster") is True, "cluster: status identifies a cluster")
     check(st["workers"] == 2 and st["workers_alive"] == 2,
           "cluster: both workers alive at boot")
@@ -373,6 +377,14 @@ def cluster_smoke(binary):
     r = c.call("run_atpg", {"circuit": key, "seed": 5})
     check(r["ok"] and signature(r["result"]) == ref,
           "cluster: respawned pool reproduces the classification")
+
+    # An incremental job is forwarded whole: the worker that runs it builds
+    # the shared miter, never the coordinator.
+    r = c.call("run_atpg", {"circuit": key, "seed": 5,
+                            "engine": "incremental"})
+    check(r["ok"], "cluster: incremental job forwarded and answered")
+    check(status()["registry"]["bytes"] == loaded_bytes,
+          "cluster: coordinator registry.bytes unchanged by the job")
 
     r = c.call("shutdown")
     check(r["ok"] and r["result"]["drained"], "cluster: shutdown drains")
@@ -647,6 +659,10 @@ def main():
     r = c.call("status")
     for key2 in ("threads", "queue", "registry", "in_flight"):
         check(key2 in r["result"], f"status has {key2}")
+    loaded_bytes = r["result"]["registry"]["bytes"]
+
+    def registry_bytes():
+        return c.call("status")["result"]["registry"]["bytes"]
 
     # -- fsim --------------------------------------------------------------
     n_inputs = circuit["inputs"]
@@ -671,6 +687,24 @@ def main():
     r2 = c.call("run_atpg", {"circuit": key, "seed": 7, "threads": 2})
     check(r2["result"]["tests"] == res1["tests"],
           "parallel tests byte-identical to serial")
+    check(registry_bytes() == loaded_bytes,
+          "registry.bytes unchanged by fsim and per-fault run_atpg")
+
+    # -- run_atpg: the first incremental job builds the shared miter -------
+    r = c.call("run_atpg", {"circuit": key, "seed": 7,
+                            "engine": "incremental"})
+    check(r["ok"], "run_atpg (incremental) succeeds")
+    built_bytes = registry_bytes()
+    check(built_bytes > loaded_bytes,
+          "registry.bytes grows with the first incremental job")
+    r = c.call("run_atpg", {"circuit": key, "seed": 7,
+                            "engine": "incremental"})
+    check(r["ok"] and registry_bytes() == built_bytes,
+          "a second incremental job reuses the encoding")
+
+    r = c.call("run_atpg", {"circuit": key, "threads": 65})
+    check(not r["ok"] and r["error"]["code"] == "bad_request",
+          "threads above 64 → bad_request")
 
     # -- cancel: unknown job ----------------------------------------------
     r = c.call("cancel", {"job": 999999})

@@ -1,6 +1,7 @@
 #include "fault/incremental.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <utility>
 
@@ -344,7 +345,7 @@ constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
 
 /// Nodes whose transitive fanout contains a primary output — reverse BFS
 /// from the kOutput markers. A fault whose cone root is outside the mask
-/// can never be observed; the providers classify it kUnreachable without a
+/// can never be observed; the provider classifies it kUnreachable without a
 /// query, matching generate_test's structural check.
 std::vector<bool> reaches_output_mask(const net::Network& netw) {
   std::vector<bool> mask(netw.node_count(), false);
@@ -378,8 +379,8 @@ struct QueryPolicy {
 /// The incremental counterpart of generate_test: one fault, one session,
 /// production semantics (unreachable masking, budget fast-fail, in-miter
 /// retry, FaultOutcome attribution). Pure function of the session's query
-/// history plus (fault, reachable, policy) — the determinism unit both
-/// providers are built from.
+/// history plus (fault, reachable, policy) — the determinism unit of the
+/// provider's streams.
 FaultOutcome incremental_query(SharedMiter& miter, const StuckAtFault& fault,
                                bool reachable, const QueryPolicy& policy,
                                Pattern& test_out) {
@@ -439,61 +440,34 @@ FaultOutcome incremental_query(SharedMiter& miter, const StuckAtFault& fault,
 
 }  // namespace
 
-IncrementalBase::IncrementalBase(const AtpgOptions& options)
-    : options_(options),
-      session_config_(per_fault_solver_config(options)),
-      base_cap_(session_config_.max_conflicts) {
-  retry_cap_ =
-      (options.escalation_rounds > 0 && base_cap_ != Budget::kUnlimited)
-          ? saturating_mul(base_cap_, kEscalationGrowth)
-          : base_cap_;
-}
+/// Everything the stream tasks touch, owned by shared_ptr: if the pipeline
+/// throws and the provider unwinds, in-flight tasks still hold the state
+/// (including private copies of the faults — the pipeline's own vectors
+/// die on unwind) and drain harmlessly.
+struct IncrementalProvider::State {
+  std::shared_ptr<const SharedMiterCnf> encoding;
+  sat::SolverConfig config;
+  QueryPolicy policy;
+  std::size_t num_streams = 1;
+  std::vector<StuckAtFault> fault_of_pos;  ///< work-list position → fault
+  std::vector<bool> reachable_of_pos;      ///< … → cone reaches a PO
+  std::vector<SolveSlot> slots;  ///< one per work-list position (pool only)
+  std::atomic<std::uint64_t> queries{0};
+  std::atomic<std::uint64_t> retries{0};
+  std::atomic<std::uint64_t> reused{0};
 
-void IncrementalBase::setup(const net::Network& netw,
-                            std::span<const StuckAtFault> faults,
-                            std::span<const std::size_t> work_list) {
-  if (options_.prebuilt_miter != nullptr) {
-    if (options_.prebuilt_miter->node_count() != netw.node_count())
-      throw std::invalid_argument(
-          "incremental ATPG: prebuilt miter was built from a different "
-          "network");
-    encoding_ = options_.prebuilt_miter;
-  } else {
-    encoding_ = std::make_shared<const SharedMiterCnf>(netw);
+  /// Queries work-list position `pos` on `miter` and counts the query.
+  FaultOutcome query(SharedMiter& miter, std::size_t pos, Pattern& test) {
+    const FaultOutcome outcome = incremental_query(
+        miter, fault_of_pos[pos], reachable_of_pos[pos], policy, test);
+    queries.fetch_add(outcome.attempts, std::memory_order_relaxed);
+    if (outcome.attempts >= 2) retries.fetch_add(1, std::memory_order_relaxed);
+    reused.fetch_add(outcome.solver_stats.reused_implications,
+                     std::memory_order_relaxed);
+    return outcome;
   }
+};
 
-  const std::vector<bool> reachable = reaches_output_mask(netw);
-  pos_of_.assign(faults.size(), kNoPos);
-  fault_of_pos_.clear();
-  fault_of_pos_.reserve(work_list.size());
-  reachable_of_pos_.clear();
-  reachable_of_pos_.reserve(work_list.size());
-  for (std::size_t p = 0; p < work_list.size(); ++p) {
-    const std::size_t fi = work_list[p];
-    pos_of_[fi] = p;
-    fault_of_pos_.push_back(faults[fi]);
-    reachable_of_pos_.push_back(reachable[faults[fi].node]);
-  }
-
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry& m = *options_.metrics;
-    c_queries_ = &m.counter("incremental.queries");
-    c_committed_ = &m.counter("incremental.committed");
-    c_retries_ = &m.counter("incremental.retries");
-    c_reused_ = &m.counter("incremental.reused_implications");
-    m.counter(options_.prebuilt_miter != nullptr ? "incremental.prebuilt_hits"
-                                                 : "incremental.builds")
-        .add(1);
-    m.gauge("incremental.miter_vars")
-        .max_in(static_cast<double>(encoding_->num_vars()));
-    m.gauge("incremental.miter_clauses")
-        .max_in(static_cast<double>(encoding_->num_clauses()));
-    m.gauge("incremental.build_ms").max_in(encoding_->build_seconds() * 1e3);
-  }
-}
-
-/// One serial query stream: a private session plus the next work-list
-/// position it owes a query for.
 struct IncrementalProvider::Stream {
   SharedMiter miter;
   std::size_t next_pos;
@@ -503,8 +477,10 @@ struct IncrementalProvider::Stream {
       : miter(std::move(encoding), config), next_pos(first_pos) {}
 };
 
-IncrementalProvider::IncrementalProvider(const AtpgOptions& options)
-    : IncrementalBase(options) {}
+IncrementalProvider::IncrementalProvider(const AtpgOptions& options,
+                                         ThreadPool* pool,
+                                         ParallelStats* stats)
+    : options_(options), pool_(pool), stats_(stats) {}
 
 IncrementalProvider::~IncrementalProvider() = default;
 
@@ -512,20 +488,73 @@ void IncrementalProvider::begin(const net::Network& netw,
                                 std::span<const StuckAtFault> faults,
                                 std::span<const std::size_t> work_list,
                                 const std::vector<bool>& /*dropped*/) {
-  setup(netw, faults, work_list);
-  const std::size_t num_streams =
-      options_.incremental_streams == 0 ? 1 : options_.incremental_streams;
-  streams_.clear();
-  for (std::size_t s = 0; s < num_streams; ++s)
-    streams_.push_back(std::make_unique<Stream>(encoding_, session_config_, s));
+  auto state = std::make_shared<State>();
+  if (options_.prebuilt_miter != nullptr) {
+    if (options_.prebuilt_miter->node_count() != netw.node_count())
+      throw std::invalid_argument(
+          "incremental ATPG: prebuilt miter was built from a different "
+          "network");
+    state->encoding = options_.prebuilt_miter;
+  } else {
+    state->encoding = std::make_shared<const SharedMiterCnf>(netw);
+  }
+  state->config = per_fault_solver_config(options_);
+  const std::uint64_t base_cap = state->config.max_conflicts;
+  state->policy = QueryPolicy{
+      base_cap,
+      options_.escalation_rounds > 0 && base_cap != Budget::kUnlimited
+          ? saturating_mul(base_cap, kEscalationGrowth)
+          : base_cap,
+      state->config.budget};
+  state->num_streams = options_.incremental_streams != 0
+                           ? options_.incremental_streams
+                           : (pool_ != nullptr ? pool_->size() : 1);
+
+  const std::vector<bool> reachable = reaches_output_mask(netw);
+  pos_of_.assign(faults.size(), kNoPos);
+  state->fault_of_pos.reserve(work_list.size());
+  state->reachable_of_pos.reserve(work_list.size());
+  for (std::size_t p = 0; p < work_list.size(); ++p) {
+    const std::size_t fi = work_list[p];
+    pos_of_[fi] = p;
+    state->fault_of_pos.push_back(faults[fi]);
+    state->reachable_of_pos.push_back(reachable[faults[fi].node]);
+  }
+  state_ = state;
+
+  if (pool_ == nullptr) {
+    for (std::size_t s = 0; s < state->num_streams; ++s)
+      streams_.push_back(
+          std::make_unique<Stream>(state->encoding, state->config, s));
+    return;
+  }
+  state->slots = std::vector<SolveSlot>(work_list.size());
+  // One task per stream. A task runs entirely on one pool worker, so the
+  // per-worker stats entry it updates is never shared (and `stats`
+  // outlives the pool, see run_atpg_parallel). Streams query every
+  // assigned position unconditionally — consulting the dropped bitmap from
+  // a worker would be a data race AND make the session's clause history
+  // timing-dependent; dropped positions are simply never waited on and
+  // their slots are discarded as waste.
+  for (std::size_t s = 0; s < state->num_streams; ++s) {
+    pool_->submit([state, stats = stats_, s] {
+      SharedMiter miter(state->encoding, state->config);
+      for (std::size_t p = s; p < state->slots.size();
+           p += state->num_streams)
+        state->slots[p].run(*stats, [&](Pattern& test) {
+          return state->query(miter, p, test);
+        });
+    });
+  }
 }
 
 FaultOutcome IncrementalProvider::solve(std::size_t fault_index,
                                         Pattern& test_out) {
   const std::size_t pos = pos_of_[fault_index];
-  Stream& stream = *streams_[pos % streams_.size()];
-  const QueryPolicy policy{base_cap_, retry_cap_, session_config_.budget};
+  ++committed_;
+  if (pool_ != nullptr) return state_->slots[pos].take(test_out, *stats_);
 
+  Stream& stream = *streams_[pos % streams_.size()];
   // Catch the stream up through its earlier positions — including ones the
   // pipeline dropped and will never ask for. Querying them anyway keeps
   // the session's query history (and so its learnt clauses, models and
@@ -535,114 +564,36 @@ FaultOutcome IncrementalProvider::solve(std::size_t fault_index,
   // skip.
   for (std::size_t p = stream.next_pos; p < pos; p += streams_.size()) {
     Pattern scratch;
-    const FaultOutcome skipped = incremental_query(
-        stream.miter, fault_of_pos_[p], reachable_of_pos_[p], policy, scratch);
-    if (c_queries_ != nullptr) c_queries_->add(skipped.attempts);
-    if (c_retries_ != nullptr && skipped.attempts >= 2) c_retries_->add(1);
-    if (c_reused_ != nullptr)
-      c_reused_->add(skipped.solver_stats.reused_implications);
+    state_->query(stream.miter, p, scratch);
   }
   stream.next_pos = pos + streams_.size();
-
-  const FaultOutcome outcome = incremental_query(
-      stream.miter, fault_of_pos_[pos], reachable_of_pos_[pos], policy,
-      test_out);
-  if (c_queries_ != nullptr) c_queries_->add(outcome.attempts);
-  if (c_retries_ != nullptr && outcome.attempts >= 2) c_retries_->add(1);
-  if (c_reused_ != nullptr)
-    c_reused_->add(outcome.solver_stats.reused_implications);
-  if (c_committed_ != nullptr) c_committed_->add(1);
-  return outcome;
+  return state_->query(stream.miter, pos, test_out);
 }
 
-/// Everything the stream tasks touch, owned by shared_ptr: if the pipeline
-/// throws and the provider unwinds, in-flight tasks still hold the state
-/// (including private copies of the faults — the pipeline's own vectors
-/// die on unwind) and drain harmlessly.
-struct ParallelIncrementalProvider::State {
-  std::shared_ptr<const SharedMiterCnf> encoding;
-  sat::SolverConfig config;
-  QueryPolicy policy;
-  std::size_t num_streams = 1;
-  std::vector<StuckAtFault> fault_of_pos;
-  std::vector<bool> reachable_of_pos;  // written in begin(), then read-only
-  std::vector<SolveSlot> slots;  ///< one per work-list position
-  ParallelStats* stats = nullptr;  // outlives the pool (see run_atpg_parallel)
-  std::atomic<std::uint64_t> queries{0};
-  std::atomic<std::uint64_t> retries{0};
-  std::atomic<std::uint64_t> reused{0};
-};
-
-ParallelIncrementalProvider::ParallelIncrementalProvider(
-    ThreadPool& pool, const AtpgOptions& options, ParallelStats& stats)
-    : IncrementalBase(options), pool_(pool), stats_(stats) {}
-
-ParallelIncrementalProvider::~ParallelIncrementalProvider() = default;
-
-void ParallelIncrementalProvider::begin(
-    const net::Network& netw, std::span<const StuckAtFault> faults,
-    std::span<const std::size_t> work_list,
-    const std::vector<bool>& /*dropped*/) {
-  setup(netw, faults, work_list);
-
-  auto state = std::make_shared<State>();
-  state->encoding = encoding_;
-  state->config = session_config_;
-  state->policy = QueryPolicy{base_cap_, retry_cap_, session_config_.budget};
-  state->num_streams = options_.incremental_streams == 0
-                           ? pool_.size()
-                           : options_.incremental_streams;
-  state->fault_of_pos = fault_of_pos_;
-  state->reachable_of_pos = reachable_of_pos_;
-  state->slots = std::vector<SolveSlot>(work_list.size());
-  state->stats = &stats_;
-  state_ = state;
-
-  // One task per stream. A task runs entirely on one pool worker, so the
-  // per-worker stats entry it updates is never shared. Streams query every
-  // assigned position unconditionally — consulting the dropped bitmap from
-  // a worker would be a data race AND make the session's clause history
-  // timing-dependent; dropped positions are simply never waited on and
-  // their slots are discarded as waste.
-  for (std::size_t s = 0; s < state->num_streams; ++s) {
-    pool_.submit([state, s] {
-      SharedMiter miter(state->encoding, state->config);
-      for (std::size_t p = s; p < state->slots.size();
-           p += state->num_streams) {
-        const FaultOutcome outcome =
-            state->slots[p].run(*state->stats, [&](Pattern& test) {
-              return incremental_query(miter, state->fault_of_pos[p],
-                                       state->reachable_of_pos[p],
-                                       state->policy, test);
-            });
-        state->queries.fetch_add(outcome.attempts,
-                                 std::memory_order_relaxed);
-        if (outcome.attempts >= 2)
-          state->retries.fetch_add(1, std::memory_order_relaxed);
-        state->reused.fetch_add(outcome.solver_stats.reused_implications,
-                                std::memory_order_relaxed);
-      }
-    });
+void IncrementalProvider::finalize() {
+  if (stats_ != nullptr) {
+    stats_->dispatched = state_->slots.size();
+    stats_->wasted = stats_->dispatched - stats_->committed;
+    stats_->max_in_flight = std::min(state_->num_streams, state_->slots.size());
   }
-}
-
-FaultOutcome ParallelIncrementalProvider::solve(std::size_t fault_index,
-                                                Pattern& test_out) {
-  return state_->slots[pos_of_[fault_index]].take(test_out, stats_);
-}
-
-void ParallelIncrementalProvider::finalize() {
-  if (state_ == nullptr) return;
-  stats_.dispatched = state_->slots.size();
-  stats_.wasted = stats_.dispatched - stats_.committed;
-  stats_.max_in_flight = std::min(state_->num_streams, state_->slots.size());
-  if (c_queries_ != nullptr)
-    c_queries_->add(state_->queries.load(std::memory_order_relaxed));
-  if (c_retries_ != nullptr)
-    c_retries_->add(state_->retries.load(std::memory_order_relaxed));
-  if (c_reused_ != nullptr)
-    c_reused_->add(state_->reused.load(std::memory_order_relaxed));
-  if (c_committed_ != nullptr) c_committed_->add(stats_.committed);
+  if (options_.metrics == nullptr) return;
+  obs::MetricsRegistry& m = *options_.metrics;
+  const SharedMiterCnf& encoding = *state_->encoding;
+  m.counter(options_.prebuilt_miter != nullptr ? "incremental.prebuilt_hits"
+                                               : "incremental.builds")
+      .add(1);
+  m.gauge("incremental.miter_vars")
+      .max_in(static_cast<double>(encoding.num_vars()));
+  m.gauge("incremental.miter_clauses")
+      .max_in(static_cast<double>(encoding.num_clauses()));
+  m.gauge("incremental.build_ms").max_in(encoding.build_seconds() * 1e3);
+  m.counter("incremental.queries")
+      .add(state_->queries.load(std::memory_order_relaxed));
+  m.counter("incremental.retries")
+      .add(state_->retries.load(std::memory_order_relaxed));
+  m.counter("incremental.reused_implications")
+      .add(state_->reused.load(std::memory_order_relaxed));
+  m.counter("incremental.committed").add(committed_);
 }
 
 }  // namespace detail

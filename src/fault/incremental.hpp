@@ -36,12 +36,11 @@
 // The encoding (SharedMiterCnf) is split from the solving session
 // (SharedMiter) so one build can seed any number of independent solvers:
 // the parallel engine gives each query stream its own clone, and the
-// service registry pins one prebuilt encoding per circuit. The
-// SolveProviders at the bottom plug the whole thing into the shared
-// run_atpg_pipeline as SolveEngine::kIncremental.
+// service registry keeps one encoding per circuit, built by the first
+// incremental job on it. The SolveProvider at the bottom plugs the whole
+// thing into the shared run_atpg_pipeline as SolveEngine::kIncremental.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -54,10 +53,6 @@
 namespace cwatpg {
 class ThreadPool;
 }  // namespace cwatpg
-
-namespace cwatpg::obs {
-class Counter;
-}  // namespace cwatpg::obs
 
 namespace cwatpg::fault {
 
@@ -141,7 +136,7 @@ class SharedMiter {
 
   /// Seeds a session from a prebuilt encoding — how the parallel engine
   /// clones one miter per query stream and how the service reuses the
-  /// registry-pinned encoding.
+  /// registry's encoding.
   explicit SharedMiter(std::shared_ptr<const SharedMiterCnf> encoding,
                        sat::SolverConfig solver_config = {});
 
@@ -194,9 +189,13 @@ std::vector<IncrementalOutcome> run_atpg_incremental(
 
 namespace detail {
 
-/// Shared plumbing of the incremental SolveProviders (both engines):
-/// adopt-or-build the encoding, precompute which faults reach an output,
-/// and run per-fault queries with the in-miter conflict-cap retry rung.
+/// The incremental SolveProvider of both engines: adopts or builds the
+/// encoding, precomputes which faults reach an output, and runs per-fault
+/// queries with the in-miter conflict-cap retry rung. Without a pool
+/// (run_atpg) each stream is advanced lazily on the pipeline thread; with
+/// one (run_atpg_parallel) each stream is a pool task that publishes its
+/// outcomes into per-position slots the pipeline thread waits on. Streams
+/// default to 1 without a pool and to the pool size with one.
 ///
 /// Determinism contract: work-list position i is assigned to stream
 /// (i mod S); each stream owns one session and queries its assigned
@@ -206,39 +205,12 @@ namespace detail {
 /// pure function of (net, options, S). The pipeline commits in work-list
 /// order and discards outcomes of entries dropped in the meantime; serial
 /// and parallel runs with the same S are byte-identical.
-class IncrementalBase {
+class IncrementalProvider final : public SolveProvider {
  public:
-  explicit IncrementalBase(const AtpgOptions& options);
-
- protected:
-  /// Adopts options.prebuilt_miter (validated against `net`) or builds a
-  /// fresh encoding; fills the reachability mask and position tables;
-  /// hoists the obs instrument handles.
-  void setup(const net::Network& net, std::span<const StuckAtFault> faults,
-             std::span<const std::size_t> work_list);
-
-  const AtpgOptions& options_;
-  sat::SolverConfig session_config_;
-  std::uint64_t base_cap_ = 0;
-  std::uint64_t retry_cap_ = 0;  ///< == base_cap_: retry rung disabled
-  std::shared_ptr<const SharedMiterCnf> encoding_;
-  std::vector<StuckAtFault> fault_of_pos_;   ///< work-list position → fault
-  std::vector<bool> reachable_of_pos_;       ///< … → cone reaches a PO
-  std::vector<std::size_t> pos_of_;          ///< fault index → position
-  // Hoisted instrument handles (null when metrics are disabled).
-  obs::Counter* c_queries_ = nullptr;
-  obs::Counter* c_committed_ = nullptr;
-  obs::Counter* c_retries_ = nullptr;
-  obs::Counter* c_reused_ = nullptr;
-};
-
-/// Serial incremental strategy: one session per stream, advanced lazily on
-/// the pipeline thread. run_atpg plugs this in for AtpgEngine::kIncremental
-/// (streams default to 1; pin AtpgOptions::incremental_streams to match a
-/// parallel run byte for byte).
-class IncrementalProvider final : public SolveProvider, IncrementalBase {
- public:
-  explicit IncrementalProvider(const AtpgOptions& options);
+  /// `pool` and `stats` are both null (serial) or both set (parallel).
+  explicit IncrementalProvider(const AtpgOptions& options,
+                               ThreadPool* pool = nullptr,
+                               ParallelStats* stats = nullptr);
   ~IncrementalProvider() override;
 
   void begin(const net::Network& net, std::span<const StuckAtFault> faults,
@@ -246,38 +218,22 @@ class IncrementalProvider final : public SolveProvider, IncrementalBase {
              const std::vector<bool>& dropped) override;
   FaultOutcome solve(std::size_t fault_index, Pattern& test_out) override;
 
- private:
-  struct Stream;
-  std::vector<std::unique_ptr<Stream>> streams_;
-};
-
-/// Parallel incremental strategy: one pool task per stream, each walking
-/// its assigned work-list positions with a private session seeded from the
-/// one shared prebuilt encoding, publishing outcomes into per-position
-/// slots the pipeline thread waits on. run_atpg_parallel plugs this in for
-/// AtpgEngine::kIncremental (streams default to the pool size).
-class ParallelIncrementalProvider final : public SolveProvider,
-                                          IncrementalBase {
- public:
-  ParallelIncrementalProvider(ThreadPool& pool, const AtpgOptions& options,
-                              ParallelStats& stats);
-  ~ParallelIncrementalProvider() override;
-
-  void begin(const net::Network& net, std::span<const StuckAtFault> faults,
-             std::span<const std::size_t> work_list,
-             const std::vector<bool>& dropped) override;
-  FaultOutcome solve(std::size_t fault_index, Pattern& test_out) override;
-
-  /// Called by run_atpg_parallel after pool.wait_idle(): folds the stream
-  /// counters into ParallelStats (dispatched = queries run, wasted =
-  /// queries whose outcome was never committed).
+  /// Records the run's incremental.* metrics and, with a pool, its
+  /// ParallelStats (dispatched = queries run, wasted = queries whose
+  /// outcome was never committed). Call once after the pipeline returns;
+  /// with a pool, after pool.wait_idle().
   void finalize();
 
  private:
-  struct State;  ///< shared with the stream tasks; outlives the provider
-  ThreadPool& pool_;
-  ParallelStats& stats_;
+  struct State;   ///< shared with the stream tasks; outlives the provider
+  struct Stream;  ///< one serial session and its next owed position
+  const AtpgOptions& options_;
+  ThreadPool* pool_;
+  ParallelStats* stats_;
   std::shared_ptr<State> state_;
+  std::vector<std::unique_ptr<Stream>> streams_;  ///< serial only
+  std::vector<std::size_t> pos_of_;  ///< fault index → work-list position
+  std::uint64_t committed_ = 0;      ///< solve() calls
 };
 
 }  // namespace detail

@@ -164,7 +164,7 @@ AtpgResult run_atpg_parallel(const net::Network& netw,
     // One shared prebuilt encoding, one miter clone per query stream
     // (defaulting to one per worker). Streams run ahead unconditionally;
     // the pipeline commits in order, exactly like the speculative path.
-    detail::ParallelIncrementalProvider provider(pool, options.base, stats);
+    detail::IncrementalProvider provider(options.base, &pool, &stats);
     result = detail::run_atpg_pipeline(netw, options.base, provider, simulate);
     pool.wait_idle();  // drain the stream tasks before folding their counters
     provider.finalize();

@@ -341,8 +341,7 @@ AtpgResult run_atpg_pipeline(const net::Network& netw,
 
   AtpgResult result;
   const Budget* budget = options.budget;
-  const std::vector<StuckAtFault> faults =
-      options.collapse_faults ? collapsed_fault_list(netw) : all_faults(netw);
+  const std::vector<StuckAtFault> faults = collapsed_fault_list(netw);
   if (metrics != nullptr) metrics->counter("atpg.faults").add(faults.size());
 
   result.outcomes.reserve(faults.size());
@@ -538,7 +537,10 @@ AtpgResult run_atpg(const net::Network& netw, const AtpgOptions& options) {
   };
   if (options.engine == AtpgEngine::kIncremental) {
     detail::IncrementalProvider provider(options);
-    return detail::run_atpg_pipeline(netw, options, provider, simulate);
+    AtpgResult result =
+        detail::run_atpg_pipeline(netw, options, provider, simulate);
+    provider.finalize();
+    return result;
   }
   SerialProvider provider(detail::per_fault_solver_config(options));
   return detail::run_atpg_pipeline(netw, options, provider, simulate);

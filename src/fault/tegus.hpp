@@ -119,8 +119,6 @@ inline constexpr std::uint64_t kEscalationGrowth = 4;
 
 struct AtpgOptions {
   sat::SolverConfig solver;
-  /// Collapse the fault list before test generation.
-  bool collapse_faults = true;
   /// 64-pattern random blocks applied before SAT (0 disables).
   std::size_t random_blocks = 4;
   /// Drop undetected faults by simulating each new test against them.
@@ -154,7 +152,7 @@ struct AtpgOptions {
   /// succeeds on some instances CDCL abandons, and vice versa.
   bool podem_fallback = true;
 
-  /// Optional shard window: indices into the (collapsed) fault list this
+  /// Optional shard window: indices into the collapsed fault list this
   /// run is responsible for, strictly increasing. Empty = all faults (the
   /// default, and byte-identical to the pre-window behavior). Faults
   /// outside the window are never simulated, solved or escalated and stay
@@ -181,8 +179,9 @@ struct AtpgOptions {
   /// this to compare them.
   std::size_t incremental_streams = 0;
   /// Optional prebuilt shared-miter encoding (kIncremental only) — how the
-  /// service reuses the registry-pinned miter instead of re-encoding per
-  /// job. Must have been built from a structurally identical network
+  /// service reuses one encoding per circuit, built by the first
+  /// incremental job on it, instead of re-encoding per job. Must have
+  /// been built from a structurally identical network
   /// (std::invalid_argument otherwise). Null = build one for the run.
   std::shared_ptr<const SharedMiterCnf> prebuilt_miter;
 
@@ -199,7 +198,7 @@ struct AtpgOptions {
 };
 
 struct AtpgResult {
-  std::vector<FaultOutcome> outcomes;  ///< one per (collapsed) fault
+  std::vector<FaultOutcome> outcomes;  ///< one per collapsed fault
   std::vector<Pattern> tests;          ///< every pattern that detected something
   std::size_t num_detected = 0;        ///< kDetected + both dropped kinds
   std::size_t num_untestable = 0;

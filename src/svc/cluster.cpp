@@ -799,7 +799,7 @@ void Cluster::run_window_inprocess(Shard& shard) {
     // WHERE the window runs cannot leak into the records.
     end = read_window(
         shard,
-        run_atpg_request(job.id, *job.circuit,
+        run_atpg_request(job.id, *job.circuit, server_.registry(),
                          window_params(job.params, shard.lo, shard.hi),
                          *job.budget, server_.metrics()),
         nullptr);

@@ -58,6 +58,8 @@ std::string param_string_required(const obs::Json& params, const char* key) {
 
 namespace {
 
+constexpr std::uint64_t kMaxThreads = 64;
+
 /// One index out of a fault_range/fault_ids element, bounds-checked
 /// against the collapsed fault list.
 std::size_t fault_index(const obs::Json& v, std::size_t num_faults,
@@ -90,15 +92,17 @@ fault::AtpgOptions atpg_options_from_params(const obs::Json& params,
       param_u64(params, "escalation_rounds", opts.escalation_rounds));
   opts.drop_by_simulation =
       param_bool(params, "drop_by_simulation", opts.drop_by_simulation);
+  // Read by the job body, checked here so a cluster coordinator rejects it
+  // too: a parallel job starts a private pool of `threads` threads.
+  if (param_u64(params, "threads", 1) > kMaxThreads)
+    throw ProtocolError("param \"threads\" must be at most " +
+                        std::to_string(kMaxThreads));
   if (const obs::Json* engine = params.find("engine")) {
     if (!engine->is_string())
       throw ProtocolError("param \"engine\" must be a string");
     const std::string name = engine->as_string();
     if (name == "incremental") {
       opts.engine = fault::AtpgEngine::kIncremental;
-      // The registry prebuilt the shared miter at load_circuit time;
-      // handing it to the job is the whole amortization story.
-      opts.prebuilt_miter = circuit.miter;
     } else if (name != "per-fault") {
       throw ProtocolError("param \"engine\" must be \"per-fault\" or "
                           "\"incremental\"");

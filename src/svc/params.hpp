@@ -30,13 +30,13 @@ bool param_bool(const obs::Json& params, const char* key, bool fallback);
 std::string param_string_required(const obs::Json& params, const char* key);
 
 /// Builds the engine options a `run_atpg` request describes: seed,
-/// random_blocks, max_conflicts, escalation_rounds, engine (wiring the
-/// registry's prebuilt miter for "incremental"), drop_by_simulation, and
-/// the optional shard window — `fault_range` ([lo,hi) pair over the
-/// collapsed fault list) or `fault_ids` (strictly increasing index array).
-/// An empty window, in either form, is a bad request: the engine reads an
-/// empty fault_subset as "every fault". The run-level budget is NOT set
-/// here (each caller owns its own).
+/// random_blocks, max_conflicts, escalation_rounds, engine,
+/// drop_by_simulation, and the optional shard window — `fault_range`
+/// ([lo,hi) pair over the collapsed fault list) or `fault_ids` (strictly
+/// increasing index array). An empty window, in either form, is a bad
+/// request: the engine reads an empty fault_subset as "every fault". So is
+/// `threads` above 64. The run-level budget and the incremental engine's
+/// encoding are NOT set here: the caller that runs the job owns both.
 fault::AtpgOptions atpg_options_from_params(const obs::Json& params,
                                             const CircuitEntry& circuit);
 

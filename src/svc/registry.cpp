@@ -33,10 +33,10 @@ class Fnv1a {
   std::uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 
+// Deliberate estimates, not an accounting: what the budget needs is a
+// monotone, stable proxy for footprint so eviction pressure scales with
+// circuit size.
 std::size_t estimate_bytes(const CircuitEntry& entry) {
-  // A deliberate estimate, not an accounting: what the budget needs is a
-  // monotone, stable proxy for footprint so eviction pressure scales with
-  // circuit size.
   std::size_t bytes = 0;
   for (net::NodeId id = 0; id < entry.net.node_count(); ++id) {
     bytes += sizeof(net::Network::Node) + 2 * sizeof(std::vector<net::NodeId>);
@@ -44,12 +44,12 @@ std::size_t estimate_bytes(const CircuitEntry& entry) {
              sizeof(net::NodeId);
   }
   bytes += entry.faults.size() * sizeof(fault::StuckAtFault);
-  bytes += entry.base_cnf.num_clauses() * sizeof(sat::Clause) +
-           entry.base_cnf.num_literals() * sizeof(sat::Lit);
-  if (entry.miter != nullptr)
-    bytes += entry.miter->cnf().num_clauses() * sizeof(sat::Clause) +
-             entry.miter->cnf().num_literals() * sizeof(sat::Lit);
   return bytes;
+}
+
+std::size_t estimate_bytes(const fault::SharedMiterCnf& miter) {
+  return miter.cnf().num_clauses() * sizeof(sat::Clause) +
+         miter.cnf().num_literals() * sizeof(sat::Lit);
 }
 
 }  // namespace
@@ -77,12 +77,8 @@ obs::Json CircuitEntry::to_json() const {
   j["inputs"] = static_cast<std::uint64_t>(net.inputs().size());
   j["outputs"] = static_cast<std::uint64_t>(net.outputs().size());
   j["faults"] = static_cast<std::uint64_t>(faults.size());
-  j["cnf_vars"] = static_cast<std::uint64_t>(base_cnf.num_vars());
-  j["cnf_clauses"] = static_cast<std::uint64_t>(base_cnf.num_clauses());
-  j["miter_vars"] =
-      static_cast<std::uint64_t>(miter != nullptr ? miter->num_vars() : 0);
-  j["miter_clauses"] =
-      static_cast<std::uint64_t>(miter != nullptr ? miter->num_clauses() : 0);
+  j["cnf_vars"] = static_cast<std::uint64_t>(cnf_vars);
+  j["cnf_clauses"] = static_cast<std::uint64_t>(cnf_clauses);
   j["bytes"] = static_cast<std::uint64_t>(approx_bytes);
   return j;
 }
@@ -127,15 +123,18 @@ std::shared_ptr<const CircuitEntry> CircuitRegistry::insert(
   // surface bad_alloc to the caller (the server maps it to `internal`),
   // never a half-built entry.
   if (CWATPG_FAILPOINT("svc.registry.alloc")) throw std::bad_alloc();
-  // Precompute outside the lock: collapsing and encoding a big circuit
-  // must not stall concurrent lookups. Two racing loaders of the same new
-  // circuit both compute; the second insert dedups below.
+  // Precompute outside the lock: collapsing a big circuit must not stall
+  // concurrent lookups. Two racing loaders of the same new circuit both
+  // compute; the second insert dedups below.
   auto entry = std::make_shared<CircuitEntry>();
   entry->key = key;
   entry->net = std::move(net);
   entry->faults = fault::collapsed_fault_list(entry->net);
-  entry->base_cnf = sat::encode_constraints(entry->net);
-  entry->miter = std::make_shared<const fault::SharedMiterCnf>(entry->net);
+  {
+    const sat::Cnf cnf = sat::encode_constraints(entry->net);
+    entry->cnf_vars = cnf.num_vars();
+    entry->cnf_clauses = cnf.num_clauses();
+  }
   entry->approx_bytes = estimate_bytes(*entry);
   entry->text = std::move(text);
 
@@ -147,10 +146,33 @@ std::shared_ptr<const CircuitEntry> CircuitRegistry::insert(
     return it->second.entry;
   }
   lru_.push_front(key);
-  entries_.emplace(key, Slot{entry, lru_.begin()});
+  entries_.emplace(key, Slot{entry, lru_.begin(), entry->approx_bytes});
   bytes_ += entry->approx_bytes;
   evict_to_budget_locked();
   return entry;
+}
+
+std::shared_ptr<const fault::SharedMiterCnf> CircuitRegistry::shared_miter(
+    const CircuitEntry& entry) {
+  // The entry's mutex, not the registry's, is held across the build, so a
+  // build never stalls lookups or other circuits' builds.
+  std::lock_guard<std::mutex> build(entry.miter_mutex_);
+  if (entry.miter_ != nullptr) return entry.miter_;
+  auto miter = std::make_shared<const fault::SharedMiterCnf>(entry.net);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // An evicted entry lives on only in its jobs: its encoding is theirs.
+    if (const auto it = entries_.find(entry.key);
+        it != entries_.end() && it->second.entry.get() == &entry) {
+      const std::size_t bytes = estimate_bytes(*miter);
+      it->second.bytes += bytes;
+      bytes_ += bytes;
+      touch_locked(entry.key);
+      evict_to_budget_locked();
+    }
+  }
+  entry.miter_ = miter;
+  return miter;
 }
 
 std::shared_ptr<const CircuitEntry> CircuitRegistry::find(
@@ -197,7 +219,7 @@ void CircuitRegistry::evict_to_budget_locked() {
   while (bytes_ > byte_budget_ && entries_.size() > 1) {
     const std::string victim = lru_.back();
     const auto it = entries_.find(victim);
-    bytes_ -= it->second.entry->approx_bytes;
+    bytes_ -= it->second.bytes;
     entries_.erase(it);
     lru_.pop_back();
     ++counters_.evictions;

@@ -1,13 +1,16 @@
 // Content-hash-keyed circuit registry with LRU eviction under a byte
 // budget.
 //
-// The amortization substrate of the service: a circuit is parsed, fault-
-// collapsed and CNF-encoded ONCE at load_circuit time, and every
-// subsequent run_atpg / fsim job on it starts from the prebuilt state
-// instead of repeating the front end. Keys are content hashes of the
-// circuit *structure* (gate types, fanins, IO lists — not names), so a
-// client re-loading the same netlist, under any name, dedups onto the
-// cached entry and a restart of the client cannot balloon the registry.
+// The amortization substrate of the service: a circuit is parsed and
+// fault-collapsed ONCE at load_circuit time, and every subsequent run_atpg
+// / fsim job on it starts from the prebuilt state instead of repeating the
+// front end. The incremental engine's shared miter is built once per entry
+// too, by the first `engine=incremental` job on it (shared_miter()), so a
+// load — and a cluster coordinator, which only forwards such jobs — never
+// pays for it. Keys are content hashes of the circuit *structure* (gate
+// types, fanins, IO lists — not names), so a client re-loading the same
+// netlist, under any name, dedups onto the cached entry and a restart of
+// the client cannot balloon the registry.
 //
 // Entries are handed out as shared_ptr<const CircuitEntry>: eviction only
 // drops the registry's reference, so a job holding an entry keeps it alive
@@ -15,9 +18,11 @@
 // under an in-flight solve. The byte budget therefore bounds what the
 // registry *retains*, not what running jobs pin.
 //
-// Thread-safe: fully; every public method takes the registry mutex. The
-// entries themselves are immutable after construction (Network's contract)
-// and safe to read from any number of jobs concurrently.
+// Thread-safe: fully; the registry mutex guards the registry's own state.
+// The entries themselves are immutable after construction (Network's
+// contract) and safe to read from any number of jobs concurrently — all
+// but the lazily built encoding, which only shared_miter() touches, under
+// the entry's own mutex.
 #pragma once
 
 #include <cstdint>
@@ -33,38 +38,39 @@
 #include "fault/incremental.hpp"
 #include "netlist/network.hpp"
 #include "obs/json.hpp"
-#include "sat/cnf.hpp"
 
 namespace cwatpg::svc {
 
 /// A loaded circuit plus everything the service precomputes for it.
-/// Immutable after construction.
+/// Immutable after construction, except for the encoding shared_miter()
+/// builds on first use.
 struct CircuitEntry {
   std::string key;   ///< 16-hex-digit structural content hash
   net::Network net;  ///< parsed, validated network
   /// Collapsed stuck-at fault list — what run_atpg classifies and what
   /// fsim jobs score coverage against.
   std::vector<fault::StuckAtFault> faults;
-  /// Whole-circuit CIRCUIT-SAT constraint encoding (sat::encode_
-  /// constraints): the reusable skeleton whose size bounds every per-fault
-  /// instance, reported to clients as a capacity signal. Per-fault miters
-  /// stay cone-local and are built inside the engines.
-  sat::Cnf base_cnf;
-  /// Prebuilt shared select-instrumented miter for the incremental engine:
-  /// built once at load time, handed to every `engine=incremental` job via
-  /// AtpgOptions::prebuilt_miter so repeat jobs skip the encoding pass
-  /// entirely. Pinned for the entry's lifetime, keyed (like everything
-  /// here) by the structural content hash.
-  std::shared_ptr<const fault::SharedMiterCnf> miter;
-  std::size_t approx_bytes = 0;  ///< memory estimate used for the budget
+  /// Size of the whole-circuit CIRCUIT-SAT constraint encoding (sat::
+  /// encode_constraints), which bounds every per-fault instance: reported
+  /// to clients as a capacity signal, not kept.
+  std::size_t cnf_vars = 0;
+  std::size_t cnf_clauses = 0;
+  /// Memory estimate of the circuit, without its encoding, that the load
+  /// counts against the budget.
+  std::size_t approx_bytes = 0;
   /// The `.bench` source load_bench parsed (empty for insert()): what a
   /// cluster coordinator replicates to its workers. Not serialized.
   std::string text;
 
   /// Summary the server embeds in load_circuit/status responses:
-  /// {key,name,gates,inputs,outputs,faults,cnf_vars,cnf_clauses,
-  ///  miter_vars,miter_clauses,bytes}.
+  /// {key,name,gates,inputs,outputs,faults,cnf_vars,cnf_clauses,bytes}.
   obs::Json to_json() const;
+
+ private:
+  friend class CircuitRegistry;
+  mutable std::mutex miter_mutex_;
+  /// The shared select-instrumented miter, null until shared_miter().
+  mutable std::shared_ptr<const fault::SharedMiterCnf> miter_;
 };
 
 struct RegistryStats {
@@ -96,7 +102,7 @@ class CircuitRegistry {
   /// Registers a network: hashes its structure, dedups against cached
   /// entries (a hit refreshes recency and returns the existing entry —
   /// the first-loaded name wins), otherwise precomputes the fault list and
-  /// base CNF, inserts, and evicts least-recently-used entries as needed.
+  /// CNF size, inserts, and evicts least-recently-used entries as needed.
   /// Loading is therefore idempotent by content hash; `already_loaded`
   /// (when non-null) reports whether this call was satisfied by a cached
   /// entry — the ack that lets a coordinator or retrying client replicate
@@ -108,6 +114,14 @@ class CircuitRegistry {
   /// Looks up by content-hash key; refreshes recency on hit, returns
   /// nullptr on miss.
   std::shared_ptr<const CircuitEntry> find(std::string_view key);
+
+  /// The entry's shared-miter encoding (covering every collapsed fault),
+  /// built by the first call and returned by every later one; concurrent
+  /// first callers wait for that one build. While the entry is retained,
+  /// the build counts the encoding against the byte budget, refreshes the
+  /// entry's recency and evicts least-recently-used entries as needed.
+  std::shared_ptr<const fault::SharedMiterCnf> shared_miter(
+      const CircuitEntry& entry);
 
   RegistryStats stats() const;
 
@@ -124,6 +138,7 @@ class CircuitRegistry {
   struct Slot {
     std::shared_ptr<const CircuitEntry> entry;
     std::list<std::string>::iterator lru_pos;
+    std::size_t bytes;  ///< the entry's estimate, plus its encoding's once built
   };
   std::unordered_map<std::string, Slot> entries_;
 };

@@ -82,15 +82,17 @@ obs::Json load_circuit(CircuitRegistry& registry, const Request& req) {
 // ---- the run_atpg job body ------------------------------------------------
 
 obs::Json run_atpg_request(std::uint64_t job, const CircuitEntry& circuit,
-                           const obs::Json& params, Budget& budget,
-                           obs::MetricsRegistry& metrics) {
+                           CircuitRegistry& registry, const obs::Json& params,
+                           Budget& budget, obs::MetricsRegistry& metrics) {
   // One shared params → options mapping (svc/params.hpp) for the server
   // and the cluster coordinator; diverging here would silently break the
   // cluster == single-daemon determinism contract.
   fault::AtpgOptions opts = atpg_options_from_params(params, circuit);
   opts.budget = &budget;
-  if (opts.engine == fault::AtpgEngine::kIncremental)
+  if (opts.engine == fault::AtpgEngine::kIncremental) {
     metrics.counter("svc.jobs.incremental").add(1);
+    opts.prebuilt_miter = registry.shared_miter(circuit);
+  }
   const std::size_t threads =
       static_cast<std::size_t>(param_u64(params, "threads", 1));
   const bool raw_outcomes = param_bool(params, "raw_outcomes", false);
@@ -682,8 +684,8 @@ void Server::cancel_job(Budget& budget) {
 }
 
 obs::Json Server::run_atpg_job(const Job& job) {
-  obs::Json j = run_atpg_request(job.request_id, *job.circuit, job.params,
-                                 *job.budget, metrics_);
+  obs::Json j = run_atpg_request(job.request_id, *job.circuit, registry_,
+                                 job.params, *job.budget, metrics_);
   j["queue"] = queue_.stats().to_json();
   j["registry"] = registry_.stats().to_json();
   return j;

@@ -87,15 +87,16 @@ namespace cwatpg::svc {
 // ---- the run_atpg job body, shared with the cluster coordinator -----------
 
 /// Runs one `run_atpg` request on `circuit` under `budget` and returns its
-/// result, keys `job` through `wall_seconds`. The `deadline_seconds`
-/// param is the caller's to arm on `budget`. This is the one `run_atpg`
-/// job body: a Server runs every in-process job through it, and the
-/// cluster coordinator runs a poison window through it, so that window's
-/// records are a worker's by construction. Throws ProtocolError on
-/// ill-typed params.
+/// result, keys `job` through `wall_seconds`. An `engine=incremental` job
+/// takes the circuit's shared miter from `registry`, which builds it on
+/// first use. The `deadline_seconds` param is the caller's to arm on
+/// `budget`. This is the one `run_atpg` job body: a Server runs every
+/// in-process job through it, and the cluster coordinator runs a poison
+/// window (always per-fault) through it, so that window's records are a
+/// worker's by construction. Throws ProtocolError on ill-typed params.
 obs::Json run_atpg_request(std::uint64_t job, const CircuitEntry& circuit,
-                           const obs::Json& params, Budget& budget,
-                           obs::MetricsRegistry& metrics);
+                           CircuitRegistry& registry, const obs::Json& params,
+                           Budget& budget, obs::MetricsRegistry& metrics);
 
 /// The `run_atpg` result, keys `job` through `wall_seconds` in wire order,
 /// for a served run and for the cluster's merged one. `window` is a
@@ -238,6 +239,7 @@ class Server {
   /// Resolved worker count (the in-flight job cap).
   std::size_t threads() const { return pool_.size(); }
 
+  CircuitRegistry& registry() { return registry_; }
   RegistryStats registry_stats() const { return registry_.stats(); }
   QueueStats queue_stats() const { return queue_.stats(); }
 

@@ -8,6 +8,7 @@
 // reader thread, N worker threads and the drain handshake all cross here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <mutex>
@@ -617,6 +618,40 @@ TEST(Cluster, ClientFaultRangeIsForwardedWhole) {
   ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump();
   EXPECT_EQ(resp.at("result").at("faults").as_u64(), 5u);
   EXPECT_EQ(resp.at("result").at("raw").size(), 5u);
+}
+
+TEST(Cluster, ThreadsAbove64IsABadRequest) {
+  // The coordinator validates with the workers' own params mapping, so it
+  // answers as a single daemon does instead of sharding at threads 1.
+  ClusterFixture fx(1);
+  obs::Json params = atpg_params(fx.load(net::decompose(gen::comparator(3))));
+  params["threads"] = std::uint64_t(65);
+  const obs::Json resp = fx.client.call("run_atpg", std::move(params));
+  EXPECT_EQ(resp.at("error").at("code").as_string(), "bad_request")
+      << resp.dump();
+}
+
+TEST(Cluster, ForwardedIncrementalJobBuildsNoEncodingOnTheCoordinator) {
+  ClusterFixture fx(2);
+  const std::string key = fx.load(net::decompose(gen::comparator(3)));
+  const auto coordinator_bytes = [&] {
+    return fx.client.call("status").at("result").at("registry").at("bytes")
+        .as_u64();
+  };
+  const std::uint64_t loaded = coordinator_bytes();
+  obs::Json params = atpg_params(key);
+  params["engine"] = "incremental";
+  const obs::Json resp = fx.client.call("run_atpg", std::move(params));
+  ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump();
+  EXPECT_EQ(coordinator_bytes(), loaded);
+  // The worker that ran the job built the encoding.
+  std::size_t worker_bytes = 0;
+  {
+    std::lock_guard<std::mutex> lock(fx.pool_mutex);
+    for (const std::unique_ptr<Server>& server : fx.servers)
+      worker_bytes = std::max(worker_bytes, server->registry_stats().bytes);
+  }
+  EXPECT_GT(worker_bytes, loaded);
 }
 
 /// Submits a job, cancels it at once, and reads frames until both the

@@ -495,7 +495,7 @@ TEST(IncrementalEngine, SerialVsParallelByteIdenticalOnSuiteMember) {
 }
 
 TEST(IncrementalEngine, PrebuiltMiterGivesIdenticalRun) {
-  // The service path: a registry-pinned encoding must change nothing.
+  // The service path: the registry's shared encoding must change nothing.
   const net::Network n = gen::c17();
   AtpgOptions fresh;
   fresh.engine = AtpgEngine::kIncremental;

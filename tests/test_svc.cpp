@@ -23,11 +23,13 @@
 
 #include "fault/fault.hpp"
 #include "fault/fsim.hpp"
+#include "fault/incremental.hpp"
 #include "fault/tegus.hpp"
 #include "gen/structured.hpp"
 #include "gen/trees.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/decompose.hpp"
+#include "sat/cnf.hpp"
 #include "svc/client.hpp"
 #include "svc/journal.hpp"
 #include "svc/proto.hpp"
@@ -462,14 +464,97 @@ TEST(SvcRegistry, EntryPrecomputesFaultListAndCnf) {
   const auto entry = reg.load_bench(bench_text(n), "c");
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->faults.size(), fault::collapsed_fault_list(n).size());
-  EXPECT_GT(entry->base_cnf.num_clauses(), 0u);
+  EXPECT_GT(entry->cnf_clauses, 0u);
   EXPECT_GT(entry->approx_bytes, 0u);
   EXPECT_EQ(entry->key.size(), 16u);
-  // The pinned shared miter covers the entry's whole collapsed fault list.
-  ASSERT_NE(entry->miter, nullptr);
-  EXPECT_GT(entry->miter->num_clauses(), entry->base_cnf.num_clauses());
+  // The shared miter covers the entry's whole collapsed fault list.
+  const auto miter = reg.shared_miter(*entry);
+  ASSERT_NE(miter, nullptr);
+  EXPECT_GT(miter->num_clauses(), entry->cnf_clauses);
   for (const fault::StuckAtFault& f : entry->faults)
-    EXPECT_TRUE(entry->miter->covers(f));
+    EXPECT_TRUE(miter->covers(f));
+}
+
+/// The registry's estimate of a circuit alone: its network and its
+/// collapsed fault list, no encoding.
+std::size_t circuit_estimate(const CircuitEntry& entry) {
+  std::size_t bytes = entry.faults.size() * sizeof(fault::StuckAtFault);
+  for (net::NodeId id = 0; id < entry.net.node_count(); ++id)
+    bytes += sizeof(net::Network::Node) +
+             2 * sizeof(std::vector<net::NodeId>) +
+             (entry.net.fanins(id).size() + entry.net.fanouts(id).size()) *
+                 sizeof(net::NodeId);
+  return bytes;
+}
+
+/// The registry's estimate of a shared-miter encoding.
+std::size_t encoding_estimate(const fault::SharedMiterCnf& miter) {
+  return miter.cnf().num_clauses() * sizeof(sat::Clause) +
+         miter.cnf().num_literals() * sizeof(sat::Lit);
+}
+
+TEST(SvcRegistry, LoadCountsTheCircuitWithoutAnEncoding) {
+  CircuitRegistry reg(std::size_t(64) << 20);
+  const auto entry = reg.load_bench(bench_text(test_circuit()), "c");
+  EXPECT_EQ(entry->approx_bytes, circuit_estimate(*entry));
+  EXPECT_EQ(reg.stats().bytes, circuit_estimate(*entry));
+}
+
+TEST(SvcRegistry, SharedMiterIsBuiltOnceAndCountedOnce) {
+  CircuitRegistry reg(std::size_t(64) << 20);
+  const auto entry = reg.load_bench(bench_text(test_circuit()), "c");
+  const std::size_t loaded = reg.stats().bytes;
+  const auto miter = reg.shared_miter(*entry);
+  ASSERT_NE(miter, nullptr);
+  for (const fault::StuckAtFault& f : entry->faults)
+    EXPECT_TRUE(miter->covers(f));
+  EXPECT_EQ(reg.stats().bytes, loaded + encoding_estimate(*miter));
+  EXPECT_EQ(reg.shared_miter(*entry).get(), miter.get());
+  EXPECT_EQ(reg.stats().bytes, loaded + encoding_estimate(*miter));
+}
+
+// tsan: eight first callers race to build one entry's encoding; exactly
+// one build happens, every caller gets it, and it is counted once.
+TEST(SvcRegistry, ConcurrentFirstCallersShareOneBuild) {
+  CircuitRegistry reg(std::size_t(64) << 20);
+  const auto entry = reg.load_bench(bench_text(test_circuit()), "c");
+  const std::size_t loaded = reg.stats().bytes;
+  constexpr std::size_t kCallers = 8;
+  std::vector<std::shared_ptr<const fault::SharedMiterCnf>> got(kCallers);
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < kCallers; ++t)
+    callers.emplace_back([&, t] { got[t] = reg.shared_miter(*entry); });
+  for (std::thread& t : callers) t.join();
+  ASSERT_NE(got[0], nullptr);
+  for (std::size_t t = 1; t < kCallers; ++t)
+    EXPECT_EQ(got[t].get(), got[0].get()) << "caller " << t;
+  EXPECT_EQ(reg.stats().bytes, loaded + encoding_estimate(*got[0]));
+}
+
+TEST(SvcRegistry, BuildingAnEncodingEvictsToTheBudget) {
+  const std::string older = bench_text(test_circuit());
+  const std::string newer = bench_text(net::decompose(gen::comparator(4)));
+  // A budget that holds both circuits exactly, and so no circuit plus its
+  // encoding.
+  std::size_t budget = 0;
+  {
+    CircuitRegistry probe(std::size_t(64) << 20);
+    probe.load_bench(older, "older");
+    probe.load_bench(newer, "newer");
+    budget = probe.stats().bytes;
+  }
+  CircuitRegistry reg(budget);
+  const auto a = reg.load_bench(older, "older");
+  const auto b = reg.load_bench(newer, "newer");
+  ASSERT_EQ(reg.stats().entries, 2u);
+  ASSERT_EQ(reg.stats().evictions, 0u);
+  const auto miter = reg.shared_miter(*b);
+  const RegistryStats stats = reg.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.bytes, b->approx_bytes + encoding_estimate(*miter));
+  EXPECT_EQ(reg.find(a->key), nullptr);
+  EXPECT_NE(reg.find(b->key), nullptr);
 }
 
 TEST(SvcRegistry, LruEvictionUnderByteBudget) {
@@ -655,9 +740,9 @@ TEST(SvcServer, ServedRunAtpgMatchesDirectCallByteForByte) {
 }
 
 /// Same contract for the incremental engine: a served `engine=incremental`
-/// job — which runs against the registry's prebuilt pinned miter — must be
-/// byte-identical to a direct engine call that builds its own encoding,
-/// serial and parallel alike.
+/// job — which runs against the registry's shared miter, built by the
+/// first such job — must be byte-identical to a direct engine call that
+/// builds its own encoding, serial and parallel alike.
 TEST(SvcServer, ServedIncrementalMatchesDirectCallByteForByte) {
   ServedFixture f({.threads = 3});
   const net::Network n = test_circuit();
@@ -711,6 +796,44 @@ TEST(SvcServer, ServedIncrementalMatchesDirectCallByteForByte) {
                   .as_u64(),
               direct_incremental);
   }
+}
+
+/// Only `engine: incremental` jobs need the shared miter: a per-fault job
+/// leaves the registry as the load left it, the first incremental job
+/// builds the encoding, and later ones reuse it.
+TEST(SvcServer, OnlyTheFirstIncrementalJobGrowsTheRegistry) {
+  ServedFixture f({.threads = 1});
+  const std::string key = f.load(test_circuit());
+  const auto registry_bytes = [&] {
+    return f.client.call("status").at("result").at("registry").at("bytes")
+        .as_u64();
+  };
+  const auto run = [&](const char* engine) {
+    obs::Json params = obs::Json::object();
+    params["circuit"] = key;
+    params["engine"] = engine;
+    const obs::Json resp = f.client.call("run_atpg", std::move(params));
+    EXPECT_TRUE(resp.at("ok").as_bool()) << resp.dump();
+  };
+  const std::uint64_t loaded = registry_bytes();
+  run("per-fault");
+  EXPECT_EQ(registry_bytes(), loaded);
+  run("incremental");
+  const std::uint64_t built = registry_bytes();
+  EXPECT_GT(built, loaded);
+  run("incremental");
+  EXPECT_EQ(registry_bytes(), built);
+}
+
+TEST(SvcServer, ThreadsAbove64IsABadRequest) {
+  // Each parallel job starts a private pool of `threads` threads.
+  ServedFixture f({.threads = 1});
+  obs::Json params = obs::Json::object();
+  params["circuit"] = f.load(gen::c17());
+  params["threads"] = std::uint64_t(65);
+  const obs::Json resp = f.client.call("run_atpg", std::move(params));
+  EXPECT_EQ(resp.at("error").at("code").as_string(), "bad_request")
+      << resp.dump();
 }
 
 TEST(SvcServer, RunAtpgRejectsUnknownEngine) {

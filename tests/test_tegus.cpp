@@ -151,15 +151,6 @@ TEST(Tegus, DroppingReducesSatCalls) {
   EXPECT_DOUBLE_EQ(with.fault_coverage(), without.fault_coverage());
 }
 
-TEST(Tegus, UncollapsedListAlsoCovered) {
-  const net::Network n = gen::c17();
-  AtpgOptions opts;
-  opts.collapse_faults = false;
-  const AtpgResult r = run_atpg(n, opts);
-  EXPECT_EQ(r.outcomes.size(), all_faults(n).size());
-  EXPECT_DOUBLE_EQ(r.fault_coverage(), 1.0);
-}
-
 TEST(Tegus, AdderFullyTestable) {
   const net::Network n = net::decompose(gen::ripple_carry_adder(8));
   const AtpgResult r = run_atpg(n);
