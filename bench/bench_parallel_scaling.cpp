@@ -10,9 +10,11 @@
 // Every parallel run is checked byte-identical to the serial one (same
 // statuses, same test_index attribution, same test patterns) — the
 // determinism contract of fault/parallel_atpg.hpp — before any speedup is
-// reported. Expect near-linear scaling in the figure-1 config up to the
-// physical core count and a visibly flatter curve beyond it; a machine
-// with fewer cores than workers cannot speed up past its core count.
+// reported; the --json report records the verdict as extra.identical, and
+// the binary exits 1 when any run diverged. Expect near-linear scaling in
+// the figure-1 config up to the physical core count and a visibly flatter
+// curve beyond it; a machine with fewer cores than workers cannot speed
+// up past its core count.
 #include <iostream>
 #include <string>
 #include <vector>
@@ -52,9 +54,11 @@ bool byte_identical(const fault::AtpgResult& a, const fault::AtpgResult& b) {
 }
 
 /// Returns false when a requested --csv= artifact could not be written.
+/// Clears `identical` when a parallel run diverges from the serial one.
 bool run_config(const net::Network& circuit, const fault::AtpgOptions& base,
                 const char* label, const std::string& csv,
-                std::uint64_t seed, std::vector<obs::RunReport>& reports) {
+                std::uint64_t seed, std::vector<obs::RunReport>& reports,
+                bool& identical) {
   Timer serial_timer;
   const fault::AtpgResult serial = fault::run_atpg(circuit, base);
   const double serial_s = serial_timer.seconds();
@@ -82,7 +86,8 @@ bool run_config(const net::Network& circuit, const fault::AtpgOptions& base,
     const fault::AtpgResult parallel =
         fault::run_atpg_parallel(circuit, popts, &stats);
     const double secs = timer.seconds();
-    const bool identical = byte_identical(serial, parallel);
+    const bool same = byte_identical(serial, parallel);
+    identical = identical && same;
     const double speedup = secs > 0 ? serial_s / secs : 0.0;
     {
       obs::ReportOptions ropts;
@@ -97,10 +102,10 @@ bool run_config(const net::Network& circuit, const fault::AtpgOptions& base,
     table.add_row({cell(threads), cell(secs, 3), cell(speedup, 2),
                    cell(speedup / static_cast<double>(threads), 2),
                    cell(stats.dispatched), cell(stats.wasted),
-                   identical ? "yes" : "NO"});
+                   same ? "yes" : "NO"});
     xs.push_back(static_cast<double>(threads));
     ys.push_back(speedup);
-    if (!identical)
+    if (!same)
       std::cout << "ERROR: parallel run at " << threads
                 << " threads diverged from the serial classification\n";
   }
@@ -135,12 +140,13 @@ int main(int argc, char** argv) {
   // Each found test is still verified: one single-fault simulation on the
   // commit thread, the same serial cost in both engines.
   std::vector<obs::RunReport> reports;
+  bool identical = true;
   fault::AtpgOptions fig1;
   fig1.random_blocks = 0;
   fig1.drop_by_simulation = false;
   fig1.seed = args.seed;
   if (!run_config(circuit, fig1, "figure-1 config (independent instances)",
-                  args.csv, args.seed, reports))
+                  args.csv, args.seed, reports, identical))
     return 1;
 
   // Dropping configuration: no random phase, so the SAT phase carries the
@@ -152,9 +158,12 @@ int main(int argc, char** argv) {
   dropping.random_blocks = 0;
   dropping.seed = args.seed;
   if (!run_config(circuit, dropping, "dropping config (SAT phase + drops)",
-                  {}, args.seed, reports))
+                  {}, args.seed, reports, identical))
     return 1;
-  if (!bench::emit_report("bench_parallel_scaling", args, reports))
+  obs::Json extra = obs::Json::object();
+  extra["identical"] = identical;
+  if (!bench::emit_report("bench_parallel_scaling", args, reports,
+                          std::move(extra)))
     return 1;
-  return 0;
+  return identical ? 0 : 1;
 }

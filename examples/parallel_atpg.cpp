@@ -3,7 +3,7 @@
 //   $ ./parallel_atpg [threads]
 //
 // Runs the production TEGUS flow serially and then fault-parallel on a
-// work-stealing pool (default: one worker per hardware thread), shows the
+// FIFO thread pool (default: one worker per hardware thread), shows the
 // wall-clock difference, and proves the headline guarantee of
 // fault/parallel_atpg.hpp on the spot: the parallel result is
 // byte-identical to the serial one — same per-fault classification, same

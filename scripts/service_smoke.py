@@ -221,8 +221,8 @@ def chaos_kill(binary):
     # A status round-trip after the submit proves the reader thread has
     # processed (and therefore journaled) the admission: frames are
     # handled in order, and `accepted` is fsync'd before the queue push.
-    # The dispatcher starts the (wedged) job on its own thread, so poll
-    # until it is running: the kill must land mid-job.
+    # A job thread starts the (wedged) job on its own, so poll until it
+    # is running: the kill must land mid-job.
     for _ in range(500):
         r = c.call("status")
         if r["result"]["in_flight"] >= 1:

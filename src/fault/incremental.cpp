@@ -1,14 +1,12 @@
 #include "fault/incremental.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <cassert>
 #include <stdexcept>
 #include <utility>
 
 #include "fault/obs_hooks.hpp"
-#include "fault/solve_slot.hpp"
 #include "sat/encode.hpp"
-#include "util/threadpool.hpp"
 #include "util/timer.hpp"
 
 namespace cwatpg::fault {
@@ -341,8 +339,6 @@ std::vector<IncrementalOutcome> run_atpg_incremental(
 namespace detail {
 namespace {
 
-constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
-
 /// Nodes whose transitive fanout contains a primary output — reverse BFS
 /// from the kOutput markers. A fault whose cone root is outside the mask
 /// can never be observed; the provider classifies it kUnreachable without a
@@ -366,35 +362,65 @@ std::vector<bool> reaches_output_mask(const net::Network& netw) {
   return mask;
 }
 
-/// Conflict caps for one incremental query: every query runs at base_cap;
-/// a query that hits exactly the conflict cap gets one in-miter retry at
-/// retry_cap (the escalation ladder's first rung, without leaving the
-/// shared encoding) before the pipeline's fresh-CNF rounds take over.
-struct QueryPolicy {
-  std::uint64_t base_cap = Budget::kUnlimited;
-  std::uint64_t retry_cap = Budget::kUnlimited;
-  const Budget* budget = nullptr;
-};
+}  // namespace
 
-/// The incremental counterpart of generate_test: one fault, one session,
-/// production semantics (unreachable masking, budget fast-fail, in-miter
-/// retry, FaultOutcome attribution). Pure function of the session's query
-/// history plus (fault, reachable, policy) — the determinism unit of the
-/// provider's streams.
-FaultOutcome incremental_query(SharedMiter& miter, const StuckAtFault& fault,
-                               bool reachable, const QueryPolicy& policy,
-                               Pattern& test_out) {
+IncrementalProvider::IncrementalProvider(const AtpgOptions& options)
+    : options_(options) {}
+
+void IncrementalProvider::begin(const net::Network& netw,
+                                std::span<const StuckAtFault> faults,
+                                std::span<const std::size_t> work_list,
+                                const std::vector<bool>& /*dropped*/) {
+  if (options_.prebuilt_miter != nullptr) {
+    if (options_.prebuilt_miter->node_count() != netw.node_count())
+      throw std::invalid_argument(
+          "incremental ATPG: prebuilt miter was built from a different "
+          "network");
+    encoding_ = options_.prebuilt_miter;
+  } else {
+    encoding_ = std::make_shared<const SharedMiterCnf>(netw);
+  }
+  const sat::SolverConfig config = per_fault_solver_config(options_);
+  miter_.emplace(encoding_, config);
+  base_cap_ = config.max_conflicts;
+  retry_cap_ = options_.escalation_rounds > 0 && base_cap_ != Budget::kUnlimited
+                   ? saturating_mul(base_cap_, kEscalationGrowth)
+                   : base_cap_;
+  budget_ = config.budget;
+  faults_ = faults;
+  work_list_ = work_list;
+  next_pos_ = 0;
+  reaches_output_ = reaches_output_mask(netw);
+}
+
+FaultOutcome IncrementalProvider::solve(std::size_t fault_index,
+                                        Pattern& test_out) {
+  ++committed_;
+  // Catch the session up through the earlier positions, including ones
+  // the pipeline dropped and will never ask for (see the class comment).
+  while (work_list_[next_pos_] != fault_index) {
+    assert(next_pos_ + 1 < work_list_.size() &&
+           "pipeline requested a fault outside work-list order");
+    Pattern scratch;
+    query(work_list_[next_pos_++], scratch);
+  }
+  ++next_pos_;
+  return query(fault_index, test_out);
+}
+
+FaultOutcome IncrementalProvider::query(std::size_t fault_index,
+                                        Pattern& test_out) {
+  SharedMiter& miter = *miter_;
   FaultOutcome outcome;
-  outcome.fault = fault;
+  outcome.fault = faults_[fault_index];
 
-  if (!reachable) {
+  if (!reaches_output_[outcome.fault.node]) {
     outcome.status = FaultStatus::kUnreachable;
     return outcome;
   }
-  // Fast-fail when the budget already fired, like generate_test: an
-  // abandoned stream drains in O(1) per position.
-  if (policy.budget != nullptr) {
-    const StopReason r = policy.budget->poll();
+  // Fast-fail when the budget already fired, like generate_test.
+  if (budget_ != nullptr) {
+    const StopReason r = budget_->poll();
     if (r != StopReason::kNone) {
       outcome.status = FaultStatus::kAborted;
       outcome.solver_stats.stop_reason = r;
@@ -403,22 +429,25 @@ FaultOutcome incremental_query(SharedMiter& miter, const StuckAtFault& fault,
   }
 
   Timer timer;
-  sat::SolveStatus status = miter.solve_fault(fault, test_out);
+  sat::SolveStatus status = miter.solve_fault(outcome.fault, test_out);
   sat::SolverStats stats = miter.last_query_stats();
   outcome.attempts = 1;
   if (status == sat::SolveStatus::kUnknown &&
       stats.stop_reason == StopReason::kConflictLimit &&
-      policy.retry_cap > policy.base_cap) {
-    miter.set_max_conflicts(policy.retry_cap);
-    status = miter.solve_fault(fault, test_out);
+      retry_cap_ > base_cap_) {
+    miter.set_max_conflicts(retry_cap_);
+    status = miter.solve_fault(outcome.fault, test_out);
     const sat::SolverStats retry_stats = miter.last_query_stats();
-    miter.set_max_conflicts(policy.base_cap);
+    miter.set_max_conflicts(base_cap_);
     stats += retry_stats;
     // operator+= keeps the stale kConflictLimit when the retry ran to
     // completion; the retry's own reason (kNone on success) is the truth.
     stats.stop_reason = retry_stats.stop_reason;
     outcome.attempts = 2;
+    ++retries_;
   }
+  queries_ += outcome.attempts;
+  reused_ += stats.reused_implications;
   outcome.solve_seconds = timer.seconds();
   outcome.solver_stats = stats;
   outcome.engine = SolveEngine::kIncremental;
@@ -438,161 +467,20 @@ FaultOutcome incremental_query(SharedMiter& miter, const StuckAtFault& fault,
   return outcome;
 }
 
-}  // namespace
-
-/// Everything the stream tasks touch, owned by shared_ptr: if the pipeline
-/// throws and the provider unwinds, in-flight tasks still hold the state
-/// (including private copies of the faults — the pipeline's own vectors
-/// die on unwind) and drain harmlessly.
-struct IncrementalProvider::State {
-  std::shared_ptr<const SharedMiterCnf> encoding;
-  sat::SolverConfig config;
-  QueryPolicy policy;
-  std::size_t num_streams = 1;
-  std::vector<StuckAtFault> fault_of_pos;  ///< work-list position → fault
-  std::vector<bool> reachable_of_pos;      ///< … → cone reaches a PO
-  std::vector<SolveSlot> slots;  ///< one per work-list position (pool only)
-  std::atomic<std::uint64_t> queries{0};
-  std::atomic<std::uint64_t> retries{0};
-  std::atomic<std::uint64_t> reused{0};
-
-  /// Queries work-list position `pos` on `miter` and counts the query.
-  FaultOutcome query(SharedMiter& miter, std::size_t pos, Pattern& test) {
-    const FaultOutcome outcome = incremental_query(
-        miter, fault_of_pos[pos], reachable_of_pos[pos], policy, test);
-    queries.fetch_add(outcome.attempts, std::memory_order_relaxed);
-    if (outcome.attempts >= 2) retries.fetch_add(1, std::memory_order_relaxed);
-    reused.fetch_add(outcome.solver_stats.reused_implications,
-                     std::memory_order_relaxed);
-    return outcome;
-  }
-};
-
-struct IncrementalProvider::Stream {
-  SharedMiter miter;
-  std::size_t next_pos;
-
-  Stream(std::shared_ptr<const SharedMiterCnf> encoding,
-         const sat::SolverConfig& config, std::size_t first_pos)
-      : miter(std::move(encoding), config), next_pos(first_pos) {}
-};
-
-IncrementalProvider::IncrementalProvider(const AtpgOptions& options,
-                                         ThreadPool* pool,
-                                         ParallelStats* stats)
-    : options_(options), pool_(pool), stats_(stats) {}
-
-IncrementalProvider::~IncrementalProvider() = default;
-
-void IncrementalProvider::begin(const net::Network& netw,
-                                std::span<const StuckAtFault> faults,
-                                std::span<const std::size_t> work_list,
-                                const std::vector<bool>& /*dropped*/) {
-  auto state = std::make_shared<State>();
-  if (options_.prebuilt_miter != nullptr) {
-    if (options_.prebuilt_miter->node_count() != netw.node_count())
-      throw std::invalid_argument(
-          "incremental ATPG: prebuilt miter was built from a different "
-          "network");
-    state->encoding = options_.prebuilt_miter;
-  } else {
-    state->encoding = std::make_shared<const SharedMiterCnf>(netw);
-  }
-  state->config = per_fault_solver_config(options_);
-  const std::uint64_t base_cap = state->config.max_conflicts;
-  state->policy = QueryPolicy{
-      base_cap,
-      options_.escalation_rounds > 0 && base_cap != Budget::kUnlimited
-          ? saturating_mul(base_cap, kEscalationGrowth)
-          : base_cap,
-      state->config.budget};
-  state->num_streams = options_.incremental_streams != 0
-                           ? options_.incremental_streams
-                           : (pool_ != nullptr ? pool_->size() : 1);
-
-  const std::vector<bool> reachable = reaches_output_mask(netw);
-  pos_of_.assign(faults.size(), kNoPos);
-  state->fault_of_pos.reserve(work_list.size());
-  state->reachable_of_pos.reserve(work_list.size());
-  for (std::size_t p = 0; p < work_list.size(); ++p) {
-    const std::size_t fi = work_list[p];
-    pos_of_[fi] = p;
-    state->fault_of_pos.push_back(faults[fi]);
-    state->reachable_of_pos.push_back(reachable[faults[fi].node]);
-  }
-  state_ = state;
-
-  if (pool_ == nullptr) {
-    for (std::size_t s = 0; s < state->num_streams; ++s)
-      streams_.push_back(
-          std::make_unique<Stream>(state->encoding, state->config, s));
-    return;
-  }
-  state->slots = std::vector<SolveSlot>(work_list.size());
-  // One task per stream. A task runs entirely on one pool worker, so the
-  // per-worker stats entry it updates is never shared (and `stats`
-  // outlives the pool, see run_atpg_parallel). Streams query every
-  // assigned position unconditionally — consulting the dropped bitmap from
-  // a worker would be a data race AND make the session's clause history
-  // timing-dependent; dropped positions are simply never waited on and
-  // their slots are discarded as waste.
-  for (std::size_t s = 0; s < state->num_streams; ++s) {
-    pool_->submit([state, stats = stats_, s] {
-      SharedMiter miter(state->encoding, state->config);
-      for (std::size_t p = s; p < state->slots.size();
-           p += state->num_streams)
-        state->slots[p].run(*stats, [&](Pattern& test) {
-          return state->query(miter, p, test);
-        });
-    });
-  }
-}
-
-FaultOutcome IncrementalProvider::solve(std::size_t fault_index,
-                                        Pattern& test_out) {
-  const std::size_t pos = pos_of_[fault_index];
-  ++committed_;
-  if (pool_ != nullptr) return state_->slots[pos].take(test_out, *stats_);
-
-  Stream& stream = *streams_[pos % streams_.size()];
-  // Catch the stream up through its earlier positions — including ones the
-  // pipeline dropped and will never ask for. Querying them anyway keeps
-  // the session's query history (and so its learnt clauses, models and
-  // stats) a pure function of the stream assignment, which is what makes a
-  // serial run byte-identical to a parallel one with the same stream
-  // count: parallel streams run ahead of the dropped bitmap and cannot
-  // skip.
-  for (std::size_t p = stream.next_pos; p < pos; p += streams_.size()) {
-    Pattern scratch;
-    state_->query(stream.miter, p, scratch);
-  }
-  stream.next_pos = pos + streams_.size();
-  return state_->query(stream.miter, pos, test_out);
-}
-
 void IncrementalProvider::finalize() {
-  if (stats_ != nullptr) {
-    stats_->dispatched = state_->slots.size();
-    stats_->wasted = stats_->dispatched - stats_->committed;
-    stats_->max_in_flight = std::min(state_->num_streams, state_->slots.size());
-  }
   if (options_.metrics == nullptr) return;
   obs::MetricsRegistry& m = *options_.metrics;
-  const SharedMiterCnf& encoding = *state_->encoding;
   m.counter(options_.prebuilt_miter != nullptr ? "incremental.prebuilt_hits"
                                                : "incremental.builds")
       .add(1);
   m.gauge("incremental.miter_vars")
-      .max_in(static_cast<double>(encoding.num_vars()));
+      .max_in(static_cast<double>(encoding_->num_vars()));
   m.gauge("incremental.miter_clauses")
-      .max_in(static_cast<double>(encoding.num_clauses()));
-  m.gauge("incremental.build_ms").max_in(encoding.build_seconds() * 1e3);
-  m.counter("incremental.queries")
-      .add(state_->queries.load(std::memory_order_relaxed));
-  m.counter("incremental.retries")
-      .add(state_->retries.load(std::memory_order_relaxed));
-  m.counter("incremental.reused_implications")
-      .add(state_->reused.load(std::memory_order_relaxed));
+      .max_in(static_cast<double>(encoding_->num_clauses()));
+  m.gauge("incremental.build_ms").max_in(encoding_->build_seconds() * 1e3);
+  m.counter("incremental.queries").add(queries_);
+  m.counter("incremental.retries").add(retries_);
+  m.counter("incremental.reused_implications").add(reused_);
   m.counter("incremental.committed").add(committed_);
 }
 

@@ -35,24 +35,21 @@
 //
 // The encoding (SharedMiterCnf) is split from the solving session
 // (SharedMiter) so one build can seed any number of independent solvers:
-// the parallel engine gives each query stream its own clone, and the
-// service registry keeps one encoding per circuit, built by the first
-// incremental job on it. The SolveProvider at the bottom plugs the whole
-// thing into the shared run_atpg_pipeline as SolveEngine::kIncremental.
+// the service registry keeps one encoding per circuit, built by the first
+// incremental job on it, and every job on that circuit seeds its own
+// session from it. The SolveProvider at the bottom plugs the whole thing
+// into the shared run_atpg_pipeline as SolveEngine::kIncremental.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "fault/fsim.hpp"
-#include "fault/parallel_atpg.hpp"
 #include "fault/tegus.hpp"
 #include "sat/solver.hpp"
-
-namespace cwatpg {
-class ThreadPool;
-}  // namespace cwatpg
 
 namespace cwatpg::fault {
 
@@ -134,9 +131,8 @@ class SharedMiter {
   explicit SharedMiter(const net::Network& net,
                        sat::SolverConfig solver_config = {});
 
-  /// Seeds a session from a prebuilt encoding — how the parallel engine
-  /// clones one miter per query stream and how the service reuses the
-  /// registry's encoding.
+  /// Seeds a session from a prebuilt encoding — how the service reuses
+  /// the registry's encoding.
   explicit SharedMiter(std::shared_ptr<const SharedMiterCnf> encoding,
                        sat::SolverConfig solver_config = {});
 
@@ -191,49 +187,55 @@ namespace detail {
 
 /// The incremental SolveProvider of both engines: adopts or builds the
 /// encoding, precomputes which faults reach an output, and runs per-fault
-/// queries with the in-miter conflict-cap retry rung. Without a pool
-/// (run_atpg) each stream is advanced lazily on the pipeline thread; with
-/// one (run_atpg_parallel) each stream is a pool task that publishes its
-/// outcomes into per-position slots the pipeline thread waits on. Streams
-/// default to 1 without a pool and to the pool size with one.
+/// queries with the in-miter conflict-cap retry rung. One session answers
+/// every query, in work-list order, on the pipeline thread — in run_atpg
+/// and in run_atpg_parallel alike, whose pool then only shards the random
+/// phase's fault simulation.
 ///
-/// Determinism contract: work-list position i is assigned to stream
-/// (i mod S); each stream owns one session and queries its assigned
-/// positions UNCONDITIONALLY in order — never consulting the (timing-
-/// sensitive, in the parallel engine) dropped bitmap — so each stream's
-/// query history, and therefore every model and stat it produces, is a
-/// pure function of (net, options, S). The pipeline commits in work-list
-/// order and discards outcomes of entries dropped in the meantime; serial
-/// and parallel runs with the same S are byte-identical.
+/// Determinism contract: the session queries every work-list position in
+/// order, including positions the pipeline dropped and will never ask
+/// for, so its query history — and with it every model and stat it
+/// produces — is a pure function of (net, options). A fault's outcome
+/// therefore does not depend on which earlier faults were dropped, as
+/// generate_test's does not, and serial and parallel runs are
+/// byte-identical at any thread count.
 class IncrementalProvider final : public SolveProvider {
  public:
-  /// `pool` and `stats` are both null (serial) or both set (parallel).
-  explicit IncrementalProvider(const AtpgOptions& options,
-                               ThreadPool* pool = nullptr,
-                               ParallelStats* stats = nullptr);
-  ~IncrementalProvider() override;
+  explicit IncrementalProvider(const AtpgOptions& options);
 
   void begin(const net::Network& net, std::span<const StuckAtFault> faults,
              std::span<const std::size_t> work_list,
              const std::vector<bool>& dropped) override;
   FaultOutcome solve(std::size_t fault_index, Pattern& test_out) override;
 
-  /// Records the run's incremental.* metrics and, with a pool, its
-  /// ParallelStats (dispatched = queries run, wasted = queries whose
-  /// outcome was never committed). Call once after the pipeline returns;
-  /// with a pool, after pool.wait_idle().
+  /// Records the run's incremental.* metrics. Call once after the
+  /// pipeline returns.
   void finalize();
 
  private:
-  struct State;   ///< shared with the stream tasks; outlives the provider
-  struct Stream;  ///< one serial session and its next owed position
+  /// The incremental counterpart of generate_test: one fault, production
+  /// semantics (unreachable masking, budget fast-fail, in-miter retry,
+  /// FaultOutcome attribution), counted in the metrics.
+  FaultOutcome query(std::size_t fault_index, Pattern& test_out);
+
   const AtpgOptions& options_;
-  ThreadPool* pool_;
-  ParallelStats* stats_;
-  std::shared_ptr<State> state_;
-  std::vector<std::unique_ptr<Stream>> streams_;  ///< serial only
-  std::vector<std::size_t> pos_of_;  ///< fault index → work-list position
-  std::uint64_t committed_ = 0;      ///< solve() calls
+  std::shared_ptr<const SharedMiterCnf> encoding_;
+  std::optional<SharedMiter> miter_;
+  /// Every query runs at base_cap_; a query that hits exactly that cap
+  /// gets one in-miter retry at retry_cap_ (the escalation ladder's first
+  /// rung, without leaving the shared encoding) before the pipeline's
+  /// fresh-CNF rounds take over.
+  std::uint64_t base_cap_ = 0;
+  std::uint64_t retry_cap_ = 0;
+  const Budget* budget_ = nullptr;
+  std::span<const StuckAtFault> faults_;
+  std::span<const std::size_t> work_list_;
+  std::size_t next_pos_ = 0;           ///< next work-list position to query
+  std::vector<bool> reaches_output_;   ///< per node
+  std::uint64_t queries_ = 0;          ///< solver calls, retries included
+  std::uint64_t retries_ = 0;
+  std::uint64_t reused_ = 0;           ///< reused_implications, summed
+  std::uint64_t committed_ = 0;        ///< solve() calls
 };
 
 }  // namespace detail

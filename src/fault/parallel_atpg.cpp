@@ -1,13 +1,15 @@
 #include "fault/parallel_atpg.hpp"
 
 #include <cassert>
+#include <condition_variable>
 #include <deque>
+#include <exception>
 #include <memory>
+#include <mutex>
+#include <utility>
 
 #include "fault/incremental.hpp"
 #include "fault/obs_hooks.hpp"
-#include "fault/solve_slot.hpp"
-#include "util/rng.hpp"
 #include "util/threadpool.hpp"
 
 namespace cwatpg::fault {
@@ -22,11 +24,66 @@ constexpr std::size_t kLookahead = 4;
 /// the pipeline thread, where they are cheaper than a dispatch.
 constexpr std::size_t kSimGrain = 512;
 
-/// Speculative work-stealing strategy for the shared TEGUS pipeline.
+/// One speculative solve a pool worker hands to the pipeline thread. One
+/// worker calls run() once; the pipeline thread calls take() at most once.
+class SolveSlot {
+ public:
+  /// Worker side: runs generate_test, keeping what it throws for take(),
+  /// books the solve in the calling worker's entry of `stats.workers`
+  /// (only ever touched by that worker, so unlocked) and publishes it.
+  void run(const net::Network& netw, const StuckAtFault& fault,
+           const sat::SolverConfig& config, ParallelStats& stats) {
+    FaultOutcome outcome;
+    Pattern test;
+    std::exception_ptr error;
+    try {
+      outcome = generate_test(netw, fault, config, test);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    const std::size_t w = ThreadPool::worker_index();
+    if (w != ThreadPool::kNotAWorker && w < stats.workers.size()) {
+      WorkerStats& ws = stats.workers[w];
+      ++ws.solved;
+      ws.solve_seconds += outcome.solve_seconds;
+      ws.solver += outcome.solver_stats;
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    outcome_ = outcome;
+    test_ = std::move(test);
+    error_ = error;
+    done_ = true;
+    cv_.notify_one();
+  }
+
+  /// Pipeline side: blocks until published and counts the solve committed
+  /// in `stats`; then rethrows the worker's exception, or hands over the
+  /// test and returns the outcome.
+  FaultOutcome take(Pattern& test_out, ParallelStats& stats) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return done_; });
+    ++stats.committed;
+    if (error_) std::rethrow_exception(error_);
+    test_out = std::move(test_);
+    return outcome_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool done_ = false;  ///< guarded by mutex_, like the three below
+  FaultOutcome outcome_;
+  Pattern test_;
+  std::exception_ptr error_;
+};
+
+/// Speculative strategy for the shared TEGUS pipeline.
 ///
 /// The pipeline thread (the only caller of solve()) keeps a window of
 /// up to `window_` solves in flight ahead of the commit frontier. Faults
-/// are dispatched in work-list order, skipping any already dropped at
+/// are dispatched in work-list order — and the pool's FIFO queue starts
+/// them in that order, so the solve the frontier waits on is never queued
+/// behind a later one — skipping any already dropped at
 /// dispatch time; because the dropped bitmap is monotone and written only
 /// by the pipeline thread, the skip can never diverge from the pipeline's
 /// own skip — a fault observed dropped stays dropped. Entries dispatched
@@ -63,7 +120,7 @@ class SpeculativeProvider final : public detail::SolveProvider {
     top_up();
     assert(!in_flight_.empty() && in_flight_.front().fault == fault_index &&
            "pipeline requested a fault outside dispatch order");
-    const std::shared_ptr<detail::SolveSlot> slot = in_flight_.front().slot;
+    const std::shared_ptr<SolveSlot> slot = in_flight_.front().slot;
     in_flight_.pop_front();
     top_up();  // keep workers fed while we block on this slot
     return slot->take(test_out, stats_);
@@ -72,7 +129,7 @@ class SpeculativeProvider final : public detail::SolveProvider {
  private:
   struct InFlight {
     std::size_t fault;
-    std::shared_ptr<detail::SolveSlot> slot;
+    std::shared_ptr<SolveSlot> slot;
   };
 
   /// Dispatches work-list entries (skipping currently-dropped faults)
@@ -81,19 +138,14 @@ class SpeculativeProvider final : public detail::SolveProvider {
     while (in_flight_.size() < window_ && cursor_ < work_list_.size()) {
       const std::size_t fi = work_list_[cursor_++];
       if ((*dropped_)[fi]) continue;  // monotone: will never be requested
-      auto slot = std::make_shared<detail::SolveSlot>();
+      auto slot = std::make_shared<SolveSlot>();
       in_flight_.push_back({fi, slot});
       ++stats_.dispatched;
       if (in_flight_.size() > stats_.max_in_flight)
         stats_.max_in_flight = in_flight_.size();
-      const StuckAtFault fault = faults_[fi];
-      const net::Network* netw = netw_;
-      const sat::SolverConfig config = config_;
-      ParallelStats* stats = &stats_;
-      pool_.submit([slot, fault, netw, config, stats] {
-        slot->run(*stats, [&](Pattern& test) {
-          return generate_test(*netw, fault, config, test);
-        });
+      pool_.submit([slot, fault = faults_[fi], netw = netw_, config = config_,
+                    stats = &stats_] {
+        slot->run(*netw, fault, config, *stats);
       });
     }
   }
@@ -120,7 +172,7 @@ AtpgResult run_atpg_parallel(const net::Network& netw,
   // in-flight worker tasks still write into `stats`, so the pool (whose
   // destructor drains and joins them) must be destroyed first.
   ParallelStats stats;
-  ThreadPool pool(options.num_threads, split_seed(options.base.seed, 1));
+  ThreadPool pool(options.num_threads);
   stats.workers.resize(pool.size());
 
   // Fault simulation hook: shard multi-pattern simulations (the random
@@ -161,12 +213,10 @@ AtpgResult run_atpg_parallel(const net::Network& netw,
 
   AtpgResult result;
   if (options.base.engine == AtpgEngine::kIncremental) {
-    // One shared prebuilt encoding, one miter clone per query stream
-    // (defaulting to one per worker). Streams run ahead unconditionally;
-    // the pipeline commits in order, exactly like the speculative path.
-    detail::IncrementalProvider provider(options.base, &pool, &stats);
+    // The serial engine's one session, on this thread: the pool shards
+    // only the random phase's fault simulation.
+    detail::IncrementalProvider provider(options.base);
     result = detail::run_atpg_pipeline(netw, options.base, provider, simulate);
-    pool.wait_idle();  // drain the stream tasks before folding their counters
     provider.finalize();
   } else {
     // per_fault_solver_config threads the run budget into every worker's
@@ -182,13 +232,6 @@ AtpgResult run_atpg_parallel(const net::Network& netw,
     pool.wait_idle();  // drain discarded speculative solves before reporting
   }
 
-  // Steal counts come from the pool's own telemetry: exact now that every
-  // worker is idle.
-  const std::vector<ThreadPool::WorkerTelemetry> telemetry = pool.telemetry();
-  for (std::size_t w = 0; w < stats.workers.size() && w < telemetry.size();
-       ++w)
-    stats.workers[w].steals = telemetry[w].steals;
-
   if (options.base.metrics != nullptr) {
     obs::MetricsRegistry& m = *options.base.metrics;
     m.counter("parallel.dispatched").add(stats.dispatched);
@@ -197,9 +240,6 @@ AtpgResult run_atpg_parallel(const net::Network& netw,
     m.gauge("parallel.max_in_flight")
         .max_in(static_cast<double>(stats.max_in_flight));
     m.gauge("parallel.workers").max_in(static_cast<double>(pool.size()));
-    std::uint64_t steals = 0;
-    for (const WorkerStats& ws : stats.workers) steals += ws.steals;
-    m.counter("parallel.steals").add(steals);
   }
 
   if (stats_out != nullptr) *stats_out = std::move(stats);

@@ -3,14 +3,20 @@
 // ATPG's unit of work is one fault -> one small SAT instance, and the
 // paper's whole point is that each instance is easy — so the wall-clock
 // win left on the table is running many of them at once. This engine
-// shards the collapsed fault list across a work-stealing thread pool
+// shards the collapsed fault list across a FIFO thread pool
 // (util/threadpool.hpp): every worker solves speculatively ahead of the
 // commit frontier with a private miter + CNF + CDCL solver, while the
 // pipeline thread commits outcomes strictly in collapsed-fault order and
-// runs simulation-based dropping exactly as the serial engine does. A test
+// runs simulation-based dropping exactly as the serial engine does. The
+// pool starts solves in the order the pipeline submits them, which is
+// commit order, so the solve the frontier waits on starts first. A test
 // found by one worker therefore still drops faults queued on the others:
-// the commit updates the shared dropped bitmap, and the dispatcher skips
-// dropped faults before handing them to a worker.
+// the commit updates the shared dropped bitmap, and the pipeline thread
+// skips dropped faults before handing them to a worker.
+//
+// engine=incremental is the exception: its one solver session answers
+// every fault on the pipeline thread, exactly as in run_atpg, and the pool
+// shards only the random phase's fault simulation.
 //
 // Determinism: the result is byte-identical to run_atpg(net, options.base)
 // — same statuses, same test patterns, same test_index attribution — for
@@ -19,10 +25,6 @@
 // (c) the random phase reuses the serial engine's RNG stream untouched.
 // The price is bounded speculative waste: at most 4 × threads in-flight
 // solves can be discarded per committed dropping test.
-//
-// Per-worker RNG streams are split from AtpgOptions::seed via
-// cwatpg::split_seed and currently drive only steal-victim selection in
-// the pool — a correctness-neutral use, which is why determinism survives.
 #pragma once
 
 #include <cstddef>
@@ -46,7 +48,6 @@ struct ParallelAtpgOptions {
 /// What one worker did during a parallel run. Indexed by pool worker id.
 struct WorkerStats {
   std::size_t solved = 0;        ///< SAT instances this worker completed
-  std::uint64_t steals = 0;      ///< pool tasks this worker stole
   double solve_seconds = 0.0;    ///< sum of per-instance solve times
   sat::SolverStats solver;       ///< aggregated CDCL counters
 };
@@ -54,7 +55,10 @@ struct WorkerStats {
 /// Scheduling telemetry for a parallel run. The per-worker breakdown
 /// aggregates into exactly the per-fault SolverStats the Figure-1
 /// instrumentation consumes: sum(workers[i].solver) over committed solves
-/// equals the sum over AtpgResult::outcomes, plus the discarded ones.
+/// equals the sum over AtpgResult::outcomes, plus the discarded ones. An
+/// engine=incremental run solves on the pipeline thread, so its counters
+/// and per-worker entries stay 0 (its incremental.* metrics count the
+/// queries).
 struct ParallelStats {
   std::vector<WorkerStats> workers;  ///< one entry per pool worker
   std::size_t dispatched = 0;  ///< speculative solves handed to the pool
@@ -63,7 +67,7 @@ struct ParallelStats {
   std::size_t max_in_flight = 0;  ///< peak speculative solves in flight
 };
 
-/// Runs the full ATPG flow on `net` across a work-stealing thread pool.
+/// Runs the full ATPG flow on `net` across a FIFO thread pool.
 ///
 /// Guarantees byte-identical classification to run_atpg(net, options.base):
 /// every FaultOutcome status, test_index, sat_vars/sat_clauses and

@@ -172,12 +172,6 @@ struct AtpgOptions {
   /// incremental abort gets one in-miter retry with a grown cap, then
   /// falls back to the fresh-CNF rounds and PODEM like any other abort.
   AtpgEngine engine = AtpgEngine::kPerFault;
-  /// Number of independent incremental query streams (kIncremental only).
-  /// 0 = auto: 1 in run_atpg, the pool size in run_atpg_parallel. Streams
-  /// determine which faults share a solver session, so serial and parallel
-  /// runs are byte-identical exactly when their stream counts match — pin
-  /// this to compare them.
-  std::size_t incremental_streams = 0;
   /// Optional prebuilt shared-miter encoding (kIncremental only) — how the
   /// service reuses one encoding per circuit, built by the first
   /// incremental job on it, instead of re-encoding per job. Must have
@@ -250,7 +244,7 @@ namespace detail {
 
 /// Phase-2 solve strategy plugged into the shared TEGUS pipeline skeleton.
 /// run_atpg uses a trivial on-demand strategy; run_atpg_parallel plugs in a
-/// speculative work-stealing one. The contract that keeps every strategy
+/// speculative pool-backed one. The contract that keeps every strategy
 /// byte-identical to the serial engine:
 ///
 ///   * begin() is called once, after the random phase, with the collapsed

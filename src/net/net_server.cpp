@@ -357,7 +357,6 @@ void NetServer::flush_ready(Conn& conn) {
 void NetServer::run() {
   if (ran_) throw std::logic_error("net::NetServer::run is single-use");
   ran_ = true;
-  server_.start();
   fp::DomainScope fp_domain("net.loop");
   auto& active_gauge = server_.metrics().gauge("net.conns.active");
 

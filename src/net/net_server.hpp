@@ -5,8 +5,8 @@
 // reassembly (one svc::FrameDecoder per connection — the decoder every
 // other cwatpg.rpc/1 reader uses), and outbox flushing; responses are
 // queued as svc::encode_frame bytes. Job
-// execution stays where it always was — the Server's dispatcher and
-// thread pool — and worker threads deliver responses by appending
+// execution stays where it always was — the Server's job threads — and
+// those threads deliver responses by appending
 // serialized frames to the owning connection's bounded outbox and waking
 // the loop through a self-pipe. The loop is the only thread that touches
 // socket fds, which is what makes connection teardown race-free: once a

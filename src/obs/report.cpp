@@ -101,7 +101,6 @@ RunReport build_run_report(const net::Network& net,
     for (const fault::WorkerStats& w : ps.workers) {
       WorkerReport wr;
       wr.solved = w.solved;
-      wr.steals = w.steals;
       wr.solve_seconds = w.solve_seconds;
       report.workers.push_back(wr);
     }
@@ -168,7 +167,6 @@ Json RunReport::to_json() const {
     for (const WorkerReport& wr : workers) {
       Json entry = Json::object();
       entry["solved"] = wr.solved;
-      entry["steals"] = wr.steals;
       entry["solve_seconds"] = wr.solve_seconds;
       w.push_back(std::move(entry));
     }
@@ -241,8 +239,9 @@ RunReport RunReport::from_json(const Json& j) {
     r.max_in_flight = p->at("max_in_flight").as_u64();
     for (const Json& entry : p->at("workers").items()) {
       WorkerReport wr;
+      // Older reports also carry a per-worker "steals" count; it is
+      // ignored.
       wr.solved = entry.at("solved").as_u64();
-      wr.steals = entry.at("steals").as_u64();
       wr.solve_seconds = entry.at("solve_seconds").as_double();
       r.workers.push_back(wr);
     }

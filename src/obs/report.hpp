@@ -38,7 +38,6 @@ inline constexpr const char* kRunReportSchema = "cwatpg.run_report/1";
 /// Per-worker entry of a parallel run (mirrors fault::WorkerStats).
 struct WorkerReport {
   std::uint64_t solved = 0;
-  std::uint64_t steals = 0;
   double solve_seconds = 0.0;
   bool operator==(const WorkerReport&) const = default;
 };

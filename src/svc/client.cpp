@@ -195,11 +195,7 @@ void Client::route(obs::Json frame) {
 }
 
 void Client::backoff(std::size_t attempt) {
-  BackoffPolicy policy;
-  policy.base_seconds = options_.backoff_base_seconds;
-  policy.max_seconds = options_.backoff_max_seconds;
-  policy.multiplier = options_.backoff_multiplier;
-  const double delay = backoff_delay(policy, jitter_, attempt);
+  const double delay = backoff_delay(BackoffPolicy{}, jitter_, attempt);
   stats_.backoff_seconds += delay;
   options_.sleep_fn(delay);
 }

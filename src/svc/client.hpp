@@ -39,10 +39,8 @@ struct ClientOptions {
   /// Total submissions per job (first try + retries). When the last
   /// attempt is also rejected, the rejection becomes the job's terminal.
   std::size_t max_attempts = 6;
-  double backoff_base_seconds = 0.005;
-  double backoff_max_seconds = 0.5;
-  double backoff_multiplier = 2.0;
-  /// Seed for the jitter RNG: backoff sleeps are base * 2^k scaled by a
+  /// Seed for the jitter RNG: backoff sleeps follow BackoffPolicy{}
+  /// (svc/supervisor.hpp), base * 2^k capped at the maximum, scaled by a
   /// factor drawn from [0.5, 1.0). Fixed seed => replayable schedule.
   std::uint64_t jitter_seed = 0x7e577e57;
   /// Injectable sleep (tests pass a recorder; default really sleeps).

@@ -132,7 +132,7 @@ class ReplayProvider final : public fault::detail::SolveProvider {
 };
 
 /// The coordinator's Server: one in-flight job per worker endpoint — each
-/// running job holds its pool thread until its shards are in, so that many
+/// running job holds its job thread until its shards are in, so that many
 /// keeps every worker busy even when every job is forwarded whole.
 ServerOptions coordinator_options(const ClusterOptions& options,
                                   std::size_t workers) {

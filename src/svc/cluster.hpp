@@ -7,7 +7,7 @@
 // admission, priorities, status, cancel and drain — and a client cannot
 // tell (except by `status`) whether it is talking to one daemon or a
 // fleet. Only where a job runs changes. For a per-fault `run_atpg` job,
-// execute() on a Server pool worker does:
+// execute() on a Server job thread does:
 //
 //   shard the collapsed fault-id space into contiguous [k·S, (k+1)·S)
 //   windows ─▶ dispatch windows to workers (`fault_range` +

@@ -18,7 +18,8 @@
 // the cancellation handle — the server fires it for in-flight cancels.
 //
 // Thread-safe: fully (mutex + condition variable). One server owns one
-// queue; producers are the reader loop, the consumer is the dispatcher.
+// queue; producers are the reader loop, consumers the server's job
+// threads, each popping only when it is free to run the job.
 #pragma once
 
 #include <condition_variable>
@@ -49,7 +50,7 @@ struct Job {
   int priority = 0;  ///< higher runs first; same level is FIFO
   /// Owns the job's deadline and cancellation token. Never null for an
   /// admitted job; shared with the server's in-flight table so cancel()
-  /// reaches a job already running on a pool worker.
+  /// reaches a job already running on a job thread.
   std::shared_ptr<Budget> budget;
   /// The resolved circuit. Holding the shared_ptr pins the entry for the
   /// job's lifetime even if the registry evicts it meanwhile.
@@ -77,7 +78,7 @@ class JobQueue {
   bool push(Job job);
 
   /// Blocks for the highest-priority job. Returns false once the queue is
-  /// closed AND drained — the dispatcher's termination condition.
+  /// closed AND drained — a job thread's termination condition.
   bool pop(Job& out);
 
   /// Removes a still-queued job (cancellation path), matched by its full
@@ -85,7 +86,7 @@ class JobQueue {
   /// means it already left the queue (running or done) or never existed.
   std::optional<Job> remove(std::uint64_t session, std::uint64_t request_id);
 
-  /// Closes admission and wakes the consumer. Queued jobs remain poppable
+  /// Closes admission and wakes the consumers. Queued jobs remain poppable
   /// — the shutdown path pops them to send their terminal responses.
   void close();
 

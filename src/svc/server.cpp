@@ -16,6 +16,7 @@
 #include "obs/report.hpp"
 #include "svc/params.hpp"
 #include "util/failpoint.hpp"
+#include "util/threadpool.hpp"
 #include "util/timer.hpp"
 
 namespace cwatpg::svc {
@@ -195,7 +196,6 @@ obs::Json atpg_result_json(std::uint64_t job, const CircuitEntry& circuit,
 Server::Server(const ServerOptions& options, JobExecutor* executor)
     : options_(options),
       executor_(executor),
-      pool_(ThreadPool::resolve_thread_count(options.threads), options.seed),
       registry_(options.registry_bytes),
       queue_(options.queue_capacity) {
   if (!options_.journal_path.empty()) {
@@ -217,13 +217,29 @@ Server::Server(const ServerOptions& options, JobExecutor* executor)
       }
     }
   }
+  const std::size_t num_threads =
+      ThreadPool::resolve_thread_count(options_.threads);
+  job_threads_.reserve(num_threads);
+  try {
+    for (std::size_t i = 0; i < num_threads; ++i)
+      job_threads_.emplace_back([this] { job_loop(); });
+    if (options_.watchdog_stall_seconds > 0)
+      watchdog_ = std::thread([this] { watchdog_loop(); });
+  } catch (...) {
+    // A joinable std::thread must not be destroyed: join what started.
+    stop_threads();
+    throw;
+  }
 }
 
-Server::~Server() {
-  if (dispatcher_.joinable()) {
-    queue_.close();
-    dispatcher_.join();
-  }
+Server::~Server() { stop_threads(); }
+
+void Server::stop_threads() {
+  queue_.close();
+  for (std::thread& t : job_threads_)
+    if (t.joinable()) t.join();
+  // Last: the watchdog may still need to detach a wedged running job
+  // while the joins above wait for it.
   if (watchdog_.joinable()) {
     {
       std::lock_guard<std::mutex> lock(watchdog_mutex_);
@@ -234,15 +250,7 @@ Server::~Server() {
   }
 }
 
-void Server::start() {
-  if (started_.exchange(true)) return;
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
-  if (options_.watchdog_stall_seconds > 0)
-    watchdog_ = std::thread([this] { watchdog_loop(); });
-}
-
 Server::SessionId Server::open_session(std::shared_ptr<Transport> transport) {
-  start();
   std::lock_guard<std::mutex> lock(jobs_mutex_);
   const SessionId session = next_session_++;
   sessions_[session] = std::move(transport);
@@ -305,7 +313,7 @@ void Server::close_session(SessionId session) {
                                  "client disconnected while the job was "
                                  "queued"));
     } else {
-      // The dispatcher popped it between our snapshot and the remove: it
+      // A job thread popped it between our snapshot and the remove: it
       // WILL run — fire the budget so it stops at its first poll.
       std::shared_ptr<Budget> budget;
       {
@@ -365,28 +373,12 @@ obs::Json Server::shutdown_response(std::uint64_t id) {
 }
 
 void Server::drain() {
-  // Order matters: flag first so the dispatcher fails every job it pops
-  // from here on, close second so it wakes and eventually sees an empty
-  // queue, then wait until the last in-flight job has sent its terminal
-  // response before the shutdown response may be written.
+  // Flag first, so every job thread fails each job it pops from here on.
+  // Then close the queue and join: each thread finishes its running job,
+  // empties the queue and returns, so every admitted job has sent its
+  // terminal response before the shutdown response may be written.
   shutting_down_.store(true);
-  queue_.close();
-  if (dispatcher_.joinable()) dispatcher_.join();
-  {
-    std::unique_lock<std::mutex> lock(jobs_mutex_);
-    jobs_cv_.wait(lock, [&] { return in_flight_ == 0; });
-  }
-  pool_.wait_idle();
-  // Last: the watchdog may still need to detach a wedged in-flight job
-  // above, so it outlives the drain wait.
-  if (watchdog_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(watchdog_mutex_);
-      watchdog_stop_ = true;
-    }
-    watchdog_cv_.notify_all();
-    watchdog_.join();
-  }
+  stop_threads();
 }
 
 // ---- control plane --------------------------------------------------------
@@ -455,7 +447,7 @@ void Server::handle_cancel(SessionId session, const Request& req) {
             removed_from_queue = true;
             state = "cancelled";
           } else {
-            // Between the dispatcher's pop and its running-mark: the job
+            // Between a job thread's pop and its running-mark: the job
             // WILL run — fire the budget so it stops on its first poll.
             fire_budget = true;
             state = "cancelling";
@@ -486,7 +478,7 @@ void Server::handle_cancel(SessionId session, const Request& req) {
 
 obs::Json Server::server_status_json() {
   obs::Json j = obs::Json::object();
-  j["threads"] = static_cast<std::uint64_t>(pool_.size());
+  j["threads"] = static_cast<std::uint64_t>(threads());
   j["shutting_down"] = shutting_down_.load();
   {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
@@ -592,23 +584,23 @@ void Server::admit_job(SessionId session, const Request& req) {
   // No admission ack: the job's single terminal response is the reply.
 }
 
-// ---- dispatch & execution -------------------------------------------------
+// ---- execution ------------------------------------------------------------
 
-void Server::dispatcher_loop() {
-  fp::DomainScope domain("svc.dispatcher");
-  Job job;
-  while (queue_.pop(job)) {
+void Server::job_loop() {
+  fp::DomainScope domain("svc.worker");
+  for (;;) {
+    Job job;  // per iteration: an idle thread pins no circuit
+    if (!queue_.pop(job)) return;
+    const JobKey key{job.session, job.request_id};
     if (shutting_down_.load()) {
       metrics_.counter("svc.jobs.drained").add(1);
-      finish_job(JobKey{job.session, job.request_id},
-                 make_error(job.request_id, ErrorCode::kShuttingDown,
-                            "server shut down before the job started"));
+      finish_job(key, make_error(job.request_id, ErrorCode::kShuttingDown,
+                                 "server shut down before the job started"));
       continue;
     }
     {
-      std::unique_lock<std::mutex> lock(jobs_mutex_);
-      jobs_cv_.wait(lock, [&] { return in_flight_ < pool_.size(); });
-      const auto it = jobs_.find(JobKey{job.session, job.request_id});
+      std::lock_guard<std::mutex> lock(jobs_mutex_);
+      const auto it = jobs_.find(key);
       if (it == jobs_.end() || it->second.state != JobState::kQueued)
         continue;  // cancelled while queued; terminal already sent
       it->second.state = JobState::kRunning;
@@ -618,15 +610,9 @@ void Server::dispatcher_loop() {
       it->second.last_change = Clock::now();
       ++in_flight_;
     }
-    pool_.submit([this, job = std::move(job)] {
-      fp::DomainScope worker_domain("svc.worker");
-      execute_job(job);
-      {
-        std::lock_guard<std::mutex> lock(jobs_mutex_);
-        --in_flight_;
-      }
-      jobs_cv_.notify_all();
-    });
+    execute_job(job);
+    std::lock_guard<std::mutex> lock(jobs_mutex_);
+    --in_flight_;
   }
 }
 

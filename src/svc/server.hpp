@@ -3,26 +3,28 @@
 // A Server composes the layers the previous PRs built into one serving
 // loop: circuits live in a CircuitRegistry (parse/collapse/encode once,
 // amortize across requests), jobs flow through a bounded JobQueue
-// (admission control, priorities, per-job Budgets), and execution happens
-// on a shared work-stealing ThreadPool with at most pool-size jobs in
-// flight. Cancellation and deadlines reuse util::Budget end to end: the
-// same token a request deadline arms is the one a `cancel` request fires,
-// and the engines' anytime semantics turn it into a partial-but-consistent
-// terminal response.
+// (admission control, priorities, per-job Budgets), and `threads` job
+// threads each pop the queue and run one job at a time. A job leaves the
+// queue only when a thread is free to run it, so the queue's capacity
+// bounds every admitted job not yet running, and the priority order is
+// decided at that moment. Cancellation and deadlines reuse util::Budget
+// end to end: the same token a request deadline arms is the one a
+// `cancel` request fires, and the engines' anytime semantics turn it
+// into a partial-but-consistent terminal response.
 //
 // Request lifecycle (see ARCHITECTURE.md for the diagram):
 //
-//   reader thread       dispatcher thread        pool worker
-//   ─────────────       ─────────────────        ───────────
+//   reader thread                     job thread (× threads)
+//   ─────────────                     ──────────────────────
 //   read frame
-//   ├─ control kinds ──────────────── respond inline
-//   └─ job kinds: admit ─▶ queue ─▶ pop (priority) ─▶ job executor
-//        │ full → `overloaded`          │                  │
-//        │                              └ cap: ≤ pool size └ terminal
-//        └ cancel: fire Budget ────────────────────────────▶ response
+//   ├─ control kinds ── respond inline
+//   └─ job kinds: admit ─▶ JobQueue ─▶ pop (priority) ─▶ job executor
+//        │ full → `overloaded`                               │
+//        └ cancel: fire Budget ─────────────────────────────▶ terminal
+//                                                              response
 //
 // The job executor is the one seam: it turns an admitted run_atpg / fsim
-// job into its terminal frame on a pool worker. By default the job runs
+// job into its terminal frame on a job thread. By default the job runs
 // in-process on the engines; svc::Cluster plugs in an executor that
 // shards it across worker daemons. Everything else — the one job table,
 // admission, status, cancel, the exactly-once terminal and the drain —
@@ -54,8 +56,8 @@
 // Thread-safe: serve() is a single-owner entry point (one transport, one
 // reader); handle_session_frame() for ONE session must come from one
 // thread at a time (sessions are independent). Internals synchronize
-// themselves; responses may be written from any worker (Transport::write
-// is thread-safe).
+// themselves; responses may be written from any job thread
+// (Transport::write is thread-safe).
 #pragma once
 
 #include <atomic>
@@ -71,6 +73,7 @@
 #include <thread>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -79,7 +82,6 @@
 #include "svc/queue.hpp"
 #include "svc/registry.hpp"
 #include "svc/transport.hpp"
-#include "util/threadpool.hpp"
 #include "util/timer.hpp"
 
 namespace cwatpg::svc {
@@ -120,7 +122,7 @@ class JobExecutor {
 
   /// Turns one admitted `run_atpg` / `fsim` job into its terminal frame (a
   /// response or an error, under the job's request id). Runs on a Server
-  /// pool worker and may block until the job is done; the job's Budget
+  /// job thread and may block until the job is done; the job's Budget
   /// carries its deadline and cancellation. A ProtocolError becomes a
   /// `bad_request` terminal, any other exception an `internal` one.
   virtual obs::Json execute(const Job& job) = 0;
@@ -136,17 +138,16 @@ class JobExecutor {
 };
 
 struct ServerOptions {
-  /// Pool workers == max concurrently executing jobs. 0 = auto
+  /// Job threads == max concurrently executing jobs. 0 = auto
   /// (ThreadPool::resolve_thread_count → hardware concurrency).
   std::size_t threads = 0;
-  /// Job queue capacity; admission beyond it answers `overloaded`.
+  /// Job queue capacity: the most admitted jobs that may wait for a job
+  /// thread. Admission beyond it answers `overloaded`.
   std::size_t queue_capacity = 64;
   /// Registry byte budget for retained circuits (LRU-evicted above it).
   std::size_t registry_bytes = std::size_t(256) << 20;
   /// Deadline applied to jobs whose request carries none (0 = unlimited).
   double default_deadline_seconds = 0.0;
-  /// Seed for the pool's steal-victim RNG streams (never affects results).
-  std::uint64_t seed = 0x5eedca11;
 
   /// Crash-recovery journal path ("" = no journal). On startup the file
   /// is replayed: accepted-but-not-terminal jobs from a previous process
@@ -163,7 +164,7 @@ struct ServerOptions {
   /// cadence is `watchdog_poll_seconds`.
   ///
   /// Limitation: detach frees the CLIENT, not shutdown. The wedged
-  /// worker still occupies its pool thread and still counts as in-flight
+  /// worker still occupies its job thread and still counts as in-flight
   /// until it returns, so a graceful drain blocks on a job that ignores
   /// cancellation forever — there is no safe way to kill a thread from
   /// outside. If a drain must be bounded even against such jobs, bound
@@ -179,9 +180,13 @@ class Server {
   using SessionId = std::uint64_t;
 
   /// `executor` (not owned; must outlive the Server) runs the admitted
-  /// jobs; null runs them in-process.
+  /// jobs; null runs them in-process. Starts the job threads and, when
+  /// enabled, the watchdog. If a thread fails to start, the threads
+  /// already started are joined and the failure is rethrown.
   explicit Server(const ServerOptions& options = {},
                   JobExecutor* executor = nullptr);
+  /// Runs the jobs still queued, then joins the threads (drain() instead
+  /// fails them with `shutting_down`).
   ~Server();
 
   Server(const Server&) = delete;
@@ -195,10 +200,6 @@ class Server {
   void serve(Transport& transport);
 
   // ---- multi-session API (what src/net's event loop drives) ----
-
-  /// Starts the scheduler threads (dispatcher, watchdog). Idempotent;
-  /// serve() and the first open_session caller both go through here.
-  void start();
 
   /// Registers a session. The server writes this session's responses
   /// through `transport` (which must be thread-safe per the Transport
@@ -223,8 +224,9 @@ class Server {
   void close_session(SessionId session);
 
   /// Stops admission, fails still-queued jobs with `shutting_down`, waits
-  /// for every in-flight job's terminal, then joins the scheduler threads.
-  /// After drain() the server is done — it cannot serve again.
+  /// for every in-flight job's terminal, then joins the job threads and
+  /// the watchdog. After drain() the server is done — it cannot serve
+  /// again.
   void drain();
 
   /// The final frame a `shutdown` requester receives after drain():
@@ -236,8 +238,8 @@ class Server {
   /// whole serving stack.
   obs::MetricsRegistry& metrics() { return metrics_; }
 
-  /// Resolved worker count (the in-flight job cap).
-  std::size_t threads() const { return pool_.size(); }
+  /// Resolved job-thread count (the in-flight job cap).
+  std::size_t threads() const { return job_threads_.size(); }
 
   CircuitRegistry& registry() { return registry_; }
   RegistryStats registry_stats() const { return registry_.stats(); }
@@ -284,10 +286,15 @@ class Server {
   void handle_cancel(SessionId session, const Request& req);
   void admit_job(SessionId session, const Request& req);
 
-  // -- dispatcher / execution --
-  void dispatcher_loop();
+  // -- execution --
+  /// One job thread: pops the queue until it is closed and empty, failing
+  /// each job popped after drain() began with `shutting_down`.
+  void job_loop();
   void execute_job(const Job& job);
-  /// The in-process job body: the engines, on this pool worker.
+  /// Closes the queue and joins the job threads, then stops and joins the
+  /// watchdog. Idempotent.
+  void stop_threads();
+  /// The in-process job body: the engines, on this job thread.
   obs::Json run_inprocess(const Job& job);
   obs::Json run_atpg_job(const Job& job);
   obs::Json fsim_job(const Job& job);
@@ -316,27 +323,22 @@ class Server {
 
   ServerOptions options_;
   JobExecutor* executor_;  ///< null = in-process
-  ThreadPool pool_;
   CircuitRegistry registry_;
   JobQueue queue_;
   obs::MetricsRegistry metrics_;
 
-  std::atomic<bool> started_{false};  ///< scheduler threads launched
   std::atomic<bool> serving_{false};  ///< serve() entered (single-use)
-  std::thread dispatcher_;
   std::atomic<bool> shutting_down_{false};
 
   std::unique_ptr<Journal> journal_;  ///< null when journaling is off
   Journal::Recovery recovered_;       ///< prior process's abandoned jobs
 
-  std::thread watchdog_;
   std::mutex watchdog_mutex_;
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;  ///< guarded by watchdog_mutex_
 
   mutable std::mutex jobs_mutex_;
-  std::condition_variable jobs_cv_;  ///< in-flight slot free / all idle
-  std::size_t in_flight_ = 0;        ///< guarded by jobs_mutex_
+  std::size_t in_flight_ = 0;  ///< running jobs; guarded by jobs_mutex_
   /// Live sessions' transports, by session id; absence means the session
   /// is closed and its writes are dropped. Guarded by jobs_mutex_.
   std::unordered_map<SessionId, std::shared_ptr<Transport>> sessions_;
@@ -348,6 +350,10 @@ class Server {
   std::deque<std::pair<JobKey, std::uint64_t>> done_order_;
   std::uint64_t terminals_ = 0;
   static constexpr std::size_t kMaxDoneRecords = 1024;
+
+  // Last, after everything they use; joined by stop_threads().
+  std::vector<std::thread> job_threads_;
+  std::thread watchdog_;
 };
 
 }  // namespace cwatpg::svc

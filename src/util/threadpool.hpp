@@ -1,13 +1,12 @@
-// Work-stealing thread pool.
+// FIFO thread pool.
 //
 // Substrate for the fault-parallel ATPG engine (fault/parallel_atpg) and
 // any future data-parallel kernel (suite sweeps, multi-start partitioning).
-// Each worker owns a private deque: it pushes/pops its own work LIFO (hot
-// in cache) and steals FIFO from randomly chosen victims when it runs dry —
-// the classic Blumofe–Leiserson discipline. Victim order is drawn from a
-// per-worker RNG stream split off a master seed (util/rng.hpp), so stealing
-// is randomized yet reproducible; note that steal order only affects *who*
-// runs a task, never observable results, because tasks communicate through
+// Every worker pops one shared, mutex-guarded queue in submission order, so
+// the task submitted first starts first. The parallel engine relies on
+// that: it submits solves in commit order, and the solve the commit
+// frontier waits on is the oldest one queued. Which worker runs a task
+// never changes an observable result, because tasks communicate through
 // their own synchronization.
 //
 // Thread-safe: submit() may be called concurrently from any thread,
@@ -15,15 +14,14 @@
 // must be called from OUTSIDE the pool (a worker blocking on the pool's
 // own completion would deadlock); this is asserted in debug builds. A
 // worker of ANOTHER pool is outside: a task may drive a private pool of
-// its own, as a served parallel run_atpg does on a server pool worker.
+// its own.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -46,19 +44,10 @@ class ThreadPool {
   /// Sentinel returned by worker_index() on non-pool threads.
   static constexpr std::size_t kNotAWorker = static_cast<std::size_t>(-1);
 
-  /// What one worker has done so far — scheduling telemetry for the
-  /// observability layer (fault::ParallelStats, RunReports). `executed`
-  /// counts tasks this worker ran; `steals` counts how many of those it
-  /// took from another worker's deque.
-  struct WorkerTelemetry {
-    std::uint64_t executed = 0;
-    std::uint64_t steals = 0;
-  };
-
-  /// Spawns `num_threads` workers (0 = default_thread_count()). `seed`
-  /// roots the per-worker RNG streams used for steal-victim selection.
-  explicit ThreadPool(std::size_t num_threads = 0,
-                      std::uint64_t seed = 0x5eedca11);
+  /// Spawns `num_threads` workers (0 = default_thread_count()). If a
+  /// thread fails to start, the workers already started are stopped and
+  /// joined, and the failure (std::system_error) is rethrown.
+  explicit ThreadPool(std::size_t num_threads = 0);
 
   /// Drains every queued task, then joins all workers.
   ~ThreadPool();
@@ -67,11 +56,9 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Number of worker threads (>= 1).
-  std::size_t size() const { return workers_.size(); }
+  std::size_t size() const { return threads_.size(); }
 
-  /// Enqueues `task`. When called from a worker thread the task goes to
-  /// that worker's own deque (LIFO locality); otherwise deques are fed
-  /// round-robin. Never blocks on task execution.
+  /// Appends `task` to the queue. Never blocks on task execution.
   void submit(Task task);
 
   /// Blocks until every task submitted so far (including tasks spawned by
@@ -83,10 +70,6 @@ class ThreadPool {
   /// Index of the calling thread in the pool that owns it, in [0, size())
   /// of that pool, or kNotAWorker on a thread no pool owns.
   static std::size_t worker_index();
-
-  /// Per-worker executed/steal counts, indexed by worker id. Safe to call
-  /// any time (counters are atomics); exact once the pool is idle.
-  std::vector<WorkerTelemetry> telemetry() const;
 
   /// Splits [begin, end) into chunks of at least `grain` iterations,
   /// runs `body(lo, hi)` on the pool, and blocks until all chunks finish.
@@ -109,27 +92,25 @@ class ThreadPool {
   }
 
  private:
-  struct Worker;
-
   void worker_loop(std::size_t index);
-  bool try_pop_local(std::size_t index, Task& task);
-  bool try_steal(std::size_t index, Task& task);
+  /// Sets stop_, wakes every worker and joins it; each one drains the
+  /// queue before it returns.
+  void stop_and_join();
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-
-  // queued_ counts tasks sitting in deques; pending_ counts submitted
-  // tasks that have not yet finished running. Both are guarded by mutex_
-  // so sleeping workers and wait_idle() cannot miss a wakeup.
+  // pending_ counts submitted tasks that have not yet finished running.
+  // queue_, pending_, stop_ and first_error_ are guarded by mutex_, so
+  // sleeping workers and wait_idle() cannot miss a wakeup.
   std::mutex mutex_;
   std::condition_variable wake_cv_;  ///< signaled on submit and stop
   std::condition_variable idle_cv_;  ///< signaled when pending_ hits 0
-  std::size_t queued_ = 0;
+  std::deque<Task> queue_;
   std::size_t pending_ = 0;
   bool stop_ = false;
   /// First exception thrown by a submit()-path task since the last
-  /// wait_idle(); guarded by mutex_, rethrown (and cleared) by wait_idle().
+  /// wait_idle(); rethrown (and cleared) by wait_idle().
   std::exception_ptr first_error_;
+
+  std::vector<std::thread> threads_;  ///< last, after what they use
 };
 
 }  // namespace cwatpg

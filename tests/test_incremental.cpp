@@ -459,15 +459,13 @@ void expect_byte_identical(const AtpgResult& a, const AtpgResult& b) {
   EXPECT_EQ(a.interrupted, b.interrupted);
 }
 
-TEST(IncrementalEngine, SerialVsParallelByteIdenticalAtPinnedStreams) {
-  // Streams — not threads — are the determinism unit: with
-  // incremental_streams pinned, the serial engine and any thread count
-  // partition the work list identically and every session sees the same
-  // query history, so results (stats included) match byte for byte.
+TEST(IncrementalEngine, SerialVsParallelByteIdenticalOnC17) {
+  // Both engines run every incremental query in one session on the
+  // pipeline thread, so at any thread count the session sees the serial
+  // query history and results (stats included) match byte for byte.
   const net::Network n = gen::c17();
   AtpgOptions base;
   base.engine = AtpgEngine::kIncremental;
-  base.incremental_streams = 3;
   const AtpgResult serial = run_atpg(n, base);
   for (std::size_t threads : {1u, 2u, 4u}) {
     ParallelAtpgOptions popts;
@@ -486,7 +484,6 @@ TEST(IncrementalEngine, SerialVsParallelByteIdenticalOnSuiteMember) {
   const net::Network n = gen::iscas85_like_suite(suite_opts).front();
   AtpgOptions base;
   base.engine = AtpgEngine::kIncremental;
-  base.incremental_streams = 2;
   const AtpgResult serial = run_atpg(n, base);
   ParallelAtpgOptions popts;
   popts.base = base;

@@ -659,5 +659,30 @@ TEST(RunReport, SerialAndParallelAgreeOnEveryCompletedFault) {
   EXPECT_EQ(pr_back, pr);
 }
 
+TEST(RunReport, FromJsonIgnoresWorkerStealsOfOlderReports) {
+  // Reports written while the pool stole work carry a per-worker "steals"
+  // count. They must still parse, to the same report without it.
+  const net::Network n = net::decompose(gen::array_multiplier(3));
+  fault::ParallelAtpgOptions popts;
+  popts.num_threads = 2;
+  fault::ParallelStats stats;
+  const fault::AtpgResult r = fault::run_atpg_parallel(n, popts, &stats);
+  obs::ReportOptions ropts;
+  ropts.engine = "parallel";
+  ropts.parallel = &stats;
+  const obs::RunReport report = obs::build_run_report(n, r, ropts);
+
+  obs::Json old = obs::Json::parse(report.to_json().dump());
+  obs::Json workers = obs::Json::array();
+  for (const obs::Json& w : old.at("parallel").at("workers").items()) {
+    obs::Json entry = w;
+    entry["steals"] = std::uint64_t{7};
+    workers.push_back(std::move(entry));
+  }
+  ASSERT_EQ(workers.size(), 2u);
+  old["parallel"]["workers"] = std::move(workers);
+  EXPECT_EQ(obs::RunReport::from_json(old), report);
+}
+
 }  // namespace
 }  // namespace cwatpg

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <vector>
 
@@ -41,6 +43,31 @@ TEST(ThreadPool, WaitIdleCoversTasksSpawnedByTasks) {
   }
   pool.wait_idle();
   EXPECT_EQ(counter.load(), 128u);
+}
+
+TEST(ThreadPool, RunsTasksInSubmissionOrder) {
+  // One worker, so the run order is the queue's order. The first task
+  // holds the worker until the other nine are queued behind it.
+  ThreadPool pool(1);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool all_queued = false;
+  std::vector<int> order;  // appended by the one worker only
+  pool.submit([&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return all_queued; });
+    order.push_back(0);
+  });
+  for (int i = 1; i < 10; ++i) pool.submit([&order, i] { order.push_back(i); });
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    all_queued = true;
+  }
+  cv.notify_all();
+  pool.wait_idle();
+  std::vector<int> expected(10);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
 }
 
 TEST(ThreadPool, WorkerIndexIsInRangeInsideAndSentinelOutside) {

@@ -36,6 +36,7 @@
 #include "svc/queue.hpp"
 #include "svc/registry.hpp"
 #include "svc/server.hpp"
+#include "svc/supervisor.hpp"
 #include "svc/transport.hpp"
 #include "util/failpoint.hpp"
 #include "util/rng.hpp"
@@ -1287,8 +1288,8 @@ TEST(SvcClient, RetriesOverloadedWithBackoffUnderSameId) {
   EXPECT_EQ(retry.stats().retries, 1u);
   ASSERT_EQ(sleeps.size(), 1u);
   // First-attempt backoff: base scaled by jitter in [0.5, 1.0).
-  EXPECT_GE(sleeps[0], copts.backoff_base_seconds * 0.5);
-  EXPECT_LT(sleeps[0], copts.backoff_base_seconds);
+  EXPECT_GE(sleeps[0], BackoffPolicy{}.base_seconds * 0.5);
+  EXPECT_LT(sleeps[0], BackoffPolicy{}.base_seconds);
 }
 
 TEST(SvcClient, ExhaustedRetriesSurfaceTheRejection) {
@@ -1362,6 +1363,73 @@ TEST(SvcServer, WatchdogDetachesJobThatIgnoresCancel) {
   // second answer from the detached worker.
   obs::Json shut = f.client.call("shutdown");
   EXPECT_TRUE(shut.at("result").at("drained").as_bool());
+}
+
+/// Sends a run_atpg job on circuit `key` and returns its id.
+std::uint64_t send_job(ServedFixture& f, const std::string& key,
+                       int priority = 0) {
+  obs::Json params = obs::Json::object();
+  params["circuit"] = key;
+  params["priority"] = priority;
+  return f.client.send("run_atpg", std::move(params));
+}
+
+/// Polls `status` until job `id` is running. Only valid while no terminal
+/// can arrive, since each poll reads the next frame as its answer.
+void await_running(ServedFixture& f, std::uint64_t id) {
+  for (int poll = 0; poll < 5000; ++poll) {
+    obs::Json params = obs::Json::object();
+    params["job"] = id;
+    const obs::Json resp = f.client.call("status", std::move(params));
+    if (resp.at("result").at("state").as_string() == "running") return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  FAIL() << "job " << id << " never started";
+}
+
+TEST(SvcServer, QueueCapacityCountsEveryJobNotYetRunning) {
+  SKIP_WITHOUT_FAILPOINTS();
+  // One job thread, one queue slot. While A runs, B waits in the queue and
+  // fills it, so C is refused at once, before any job has finished.
+  ServedFixture f({.threads = 1, .queue_capacity = 1});
+  const std::string key = f.load(test_circuit());
+  fp::ScheduleScope fps("svc.server.execute.stall=always@400");
+  const std::uint64_t a = send_job(f, key);
+  await_running(f, a);
+  const std::uint64_t b = send_job(f, key);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const obs::Json status = f.client.call("status");
+  EXPECT_EQ(status.at("result").at("queue").at("depth").as_u64(), 1u);
+
+  const std::uint64_t c = send_job(f, key);
+  std::vector<obs::Json> frames;
+  for (int i = 0; i < 3; ++i) frames.push_back(f.client.recv());
+  EXPECT_EQ(frames[0].at("id").as_u64(), c);
+  ASSERT_FALSE(frames[0].at("ok").as_bool()) << frames[0].dump();
+  EXPECT_EQ(frames[0].at("error").at("code").as_string(), "overloaded");
+  EXPECT_EQ(frames[1].at("id").as_u64(), a);
+  EXPECT_EQ(frames[2].at("id").as_u64(), b);
+}
+
+TEST(SvcServer, PriorityIsDecidedWhenASlotFrees) {
+  SKIP_WITHOUT_FAILPOINTS();
+  // B is queued before D, but D has the higher priority. The job thread
+  // picks its next job only when A has finished, so D runs before B.
+  ServedFixture f({.threads = 1});
+  const std::string key = f.load(test_circuit());
+  fp::ScheduleScope fps("svc.server.execute.stall=always@300");
+  const std::uint64_t a = send_job(f, key);
+  await_running(f, a);
+  const std::uint64_t b = send_job(f, key, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::uint64_t d = send_job(f, key, 10);
+  std::vector<std::uint64_t> order;
+  for (int i = 0; i < 3; ++i) {
+    const obs::Json resp = f.client.recv();
+    EXPECT_TRUE(resp.at("ok").as_bool()) << resp.dump();
+    order.push_back(resp.at("id").as_u64());
+  }
+  EXPECT_EQ(order, (std::vector<std::uint64_t>{a, d, b}));
 }
 
 TEST(SvcServer, WorkerThrowFailpointYieldsInternalTerminal) {
