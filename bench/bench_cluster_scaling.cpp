@@ -79,7 +79,7 @@ ConfigResult run_config(std::size_t workers,
     server_loops.emplace_back([server, side] { server->serve(*side); });
     svc::Cluster::WorkerEndpoint e;
     e.transport = std::move(pair.client);
-    e.name = "w" + std::to_string(i);
+    e.name = std::string("w").append(std::to_string(i));
     endpoints.push_back(std::move(e));
   }
 

@@ -54,7 +54,7 @@ cwatpg::net::Network redundant_design() {
       const auto wrap = n.add_gate(net::GateType::kOr, {driver, x});
       driver = n.add_gate(net::GateType::kAnd, {driver, wrap});
     }
-    n.add_output(driver, "y" + std::to_string(o));
+    n.add_output(driver, net::indexed_name("y", o));
   }
   // Dead logic: a chain no output observes.
   auto dead = n.add_gate(net::GateType::kNot, {x});

@@ -1,6 +1,9 @@
 #include "fault/atpg_circuit.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+
+#include "sat/encode.hpp"
 
 namespace cwatpg::fault {
 
@@ -124,6 +127,181 @@ AtpgCircuit build_atpg_circuit(const net::Network& netw,
   atpg.fault_const_node = fault_const;
   miter.validate();
   return atpg;
+}
+
+void AtpgEmitter::add(ClauseSink& sink, std::span<const sat::Lit> lits) {
+  clause_.assign(lits.begin(), lits.end());
+  const std::size_t size = sat::canonicalize(clause_);
+  if (size == 0) return;
+  sink.add(std::span<const sat::Lit>(clause_.data(), size));
+  ++num_clauses_;
+}
+
+void AtpgEmitter::add_gate(ClauseSink& sink, net::GateType type, sat::Var z) {
+  sat::for_each_gate_clause(
+      type, z, ins_, wide_,
+      [&](std::span<const sat::Lit> c) { add(sink, c); });
+}
+
+std::optional<AtpgEmitter::Instance> AtpgEmitter::emit(
+    const net::Network& netw, const StuckAtFault& fault, ClauseSink& sink) {
+  using net::GateType;
+  const std::size_t n = netw.node_count();
+  if (fault.node >= n) return std::nullopt;
+  const net::NodeId root = fault_cone_root(fault);
+  const bool stem = fault.is_stem();
+  if (!stem && (fault.pin < 0 ||
+                static_cast<std::size_t>(fault.pin) >= netw.fanins(root).size()))
+    return std::nullopt;
+
+  if (tfo_mark_.size() < n) {
+    tfo_mark_.resize(n, 0);
+    cone_mark_.resize(n, 0);
+    good_.resize(n);
+    faulty_.resize(n);
+  }
+  if (++epoch_ == 0) {  // wrapped: no stale mark may equal a live epoch
+    std::fill(tfo_mark_.begin(), tfo_mark_.end(), 0);
+    std::fill(cone_mark_.begin(), cone_mark_.end(), 0);
+    epoch_ = 1;
+  }
+
+  // C_psi^sub: the fanout cone of the root, then its transitive fanin.
+  cone_.assign(1, root);
+  tfo_mark_[root] = cone_mark_[root] = epoch_;
+  stack_.assign(1, root);
+  while (!stack_.empty()) {
+    const net::NodeId v = stack_.back();
+    stack_.pop_back();
+    for (const net::NodeId fo : netw.fanouts(v)) {
+      if (in_tfo(fo)) continue;
+      tfo_mark_[fo] = cone_mark_[fo] = epoch_;
+      cone_.push_back(fo);
+      stack_.push_back(fo);
+    }
+  }
+  stack_.assign(cone_.begin(), cone_.end());
+  while (!stack_.empty()) {
+    const net::NodeId v = stack_.back();
+    stack_.pop_back();
+    for (const net::NodeId fi : netw.fanins(v)) {
+      if (cone_mark_[fi] == epoch_) continue;
+      cone_mark_[fi] = epoch_;
+      cone_.push_back(fi);
+      stack_.push_back(fi);
+    }
+  }
+  // Miter ids follow host ids (which are topological) within each part,
+  // as build_atpg_circuit adds them.
+  std::sort(cone_.begin(), cone_.end());
+
+  // Variables, in build_atpg_circuit's node order: the good copy (no
+  // kOutput markers), then the faulty copy with the stuck constant created
+  // where it is first used, then an (XOR, kOutput marker) pair per
+  // observed output.
+  sat::Var next = 0;
+  std::size_t num_outputs = 0;
+  for (const net::NodeId v : cone_) {
+    if (netw.type(v) == GateType::kOutput) {
+      good_[v] = sat::kNullVar;
+      ++num_outputs;
+    } else {
+      good_[v] = next++;
+    }
+  }
+  // A kOutput marker is in the cone exactly when it is in the fanout cone.
+  if (num_outputs == 0) return std::nullopt;
+  if (stem && netw.type(root) == GateType::kOutput)
+    throw std::invalid_argument(
+        "AtpgEmitter: a stem fault on an output marker has no good net");
+  sat::Var stuck_const = sat::kNullVar;
+  for (const net::NodeId v : cone_) {
+    if (!in_tfo(v) || netw.type(v) == GateType::kOutput) continue;
+    if (v == root) {
+      stuck_const = next++;
+      if (stem) {
+        faulty_[v] = stuck_const;
+        continue;
+      }
+    }
+    faulty_[v] = next++;
+  }
+  // A branch fault on an output marker's pin: the constant comes just
+  // before that (only) output's XOR.
+  const bool po_pin_fault = !stem && netw.type(root) == GateType::kOutput;
+  if (po_pin_fault) stuck_const = next++;
+  const sat::Var first_xor = next;
+  const sat::Var num_vars = next + 2 * static_cast<sat::Var>(num_outputs);
+
+  num_clauses_ = 0;
+  sink.begin(num_vars);
+  const sat::Lit stuck_unit(stuck_const, !fault.stuck_value);
+
+  // Good copy.
+  for (const net::NodeId v : cone_) {
+    const GateType type = netw.type(v);
+    switch (type) {
+      case GateType::kInput:
+      case GateType::kOutput:
+        break;
+      case GateType::kConst0:
+      case GateType::kConst1:
+        add_unit(sink, sat::Lit(good_[v], type == GateType::kConst0));
+        break;
+      default:
+        ins_.clear();
+        for (const net::NodeId fi : netw.fanins(v)) ins_.push_back(good_[fi]);
+        add_gate(sink, type, good_[v]);
+        break;
+    }
+  }
+  // Faulty copy: side inputs tap the good copy.
+  for (const net::NodeId v : cone_) {
+    if (!in_tfo(v) || netw.type(v) == GateType::kOutput) continue;
+    if (v == root) {
+      add_unit(sink, stuck_unit);
+      if (stem) continue;
+    }
+    const auto fis = netw.fanins(v);
+    ins_.clear();
+    for (std::size_t p = 0; p < fis.size(); ++p) {
+      if (v == root && static_cast<std::int32_t>(p) == fault.pin)
+        ins_.push_back(stuck_const);
+      else
+        ins_.push_back(in_tfo(fis[p]) ? faulty_[fis[p]] : good_[fis[p]]);
+    }
+    add_gate(sink, netw.type(v), faulty_[v]);
+  }
+  // Comparison XORs and their output markers.
+  sat::Var x = first_xor;
+  for (const net::NodeId po : cone_) {
+    if (netw.type(po) != GateType::kOutput) continue;
+    const net::NodeId driver = netw.fanins(po)[0];
+    ins_.assign(1, good_[driver]);
+    if (po_pin_fault) {
+      add_unit(sink, stuck_unit);
+      ins_.push_back(stuck_const);
+    } else {
+      // An observed output's driver is in the fanout cone.
+      ins_.push_back(faulty_[driver]);
+    }
+    add_gate(sink, GateType::kXor, x);
+    ins_.assign(1, x);
+    add_gate(sink, GateType::kBuf, x + 1);
+    x += 2;
+  }
+  // CIRCUIT-SAT's objective: some output marker is 1.
+  wide_.clear();
+  for (sat::Var out = first_xor + 1; out < num_vars; out += 2)
+    wide_.push_back(sat::pos(out));
+  add(sink, wide_);
+  // Excitation: the good value of the faulted net differs from the stuck
+  // value. Implied by any satisfying assignment; stating it as a unit
+  // clause prunes the search (TEGUS does the same).
+  const net::NodeId site =
+      stem ? root : netw.fanins(root)[static_cast<std::size_t>(fault.pin)];
+  add_unit(sink, sat::Lit(good_[site], fault.stuck_value));
+  return Instance{num_vars, num_clauses_};
 }
 
 std::vector<net::NodeId> transfer_ordering(const net::Network& netw,

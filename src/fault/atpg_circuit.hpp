@@ -10,13 +10,22 @@
 //     versions; the XOR outputs are the primary outputs of C_psi^ATPG.
 // CIRCUIT-SAT on the result (encode_circuit_sat: "at least one output is 1")
 // is satisfied exactly by the test vectors for the fault.
+//
+// Two ways to get that instance as CNF:
+//   * build_atpg_circuit + sat::encode_circuit_sat materialize the miter as
+//     a Network, for the paper's analyses (orderings, widths, Lemma 4.2);
+//   * AtpgEmitter streams the same clauses, plus the excitation unit,
+//     straight from the host network's cone — what the ATPG engine solves.
 #pragma once
 
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "fault/fault.hpp"
 #include "netlist/cone.hpp"
 #include "netlist/network.hpp"
+#include "sat/cnf.hpp"
 
 namespace cwatpg::fault {
 
@@ -48,12 +57,75 @@ struct AtpgCircuit {
 /// reaches no primary output (trivially untestable, as in net::fault_cone).
 ///
 /// Thread-safe: yes; reads `net` (immutable after construction) and builds
-/// a fresh AtpgCircuit per call. The parallel ATPG engine constructs
-/// miters for different faults of the same network concurrently. The
-/// returned AtpgCircuit itself is a plain value type: safe to move across
-/// threads, not internally synchronized for concurrent mutation.
+/// a fresh AtpgCircuit per call. The returned AtpgCircuit itself is a
+/// plain value type: safe to move across threads, not internally
+/// synchronized for concurrent mutation.
 AtpgCircuit build_atpg_circuit(const net::Network& net,
                                const StuckAtFault& fault);
+
+/// Receives an emitted instance: begin() once with its variable count,
+/// then every clause in order, each already in sat::canonicalize()'s form.
+class ClauseSink {
+ public:
+  virtual void begin(sat::Var num_vars) = 0;
+  virtual void add(std::span<const sat::Lit> clause) = 0;
+
+ protected:
+  ~ClauseSink() = default;
+};
+
+/// Emits the per-fault SAT instance:
+/// encode_circuit_sat(build_atpg_circuit(net, fault).miter) followed by the
+/// excitation unit (the good value of the faulted net differs from the
+/// stuck value), with the same variable numbering and the same clause
+/// sequence, but walking only the fault's cone — no Network, names or
+/// whole-host scans. The walk's scratch (epoch-stamped cone marks and
+/// per-node variables, sized to the largest network seen) is kept, so a
+/// warm emitter allocates nothing.
+///
+/// Thread-safe: no; one emitter per thread (generate_test keeps one per
+/// thread). `net` is only read.
+class AtpgEmitter {
+ public:
+  struct Instance {
+    sat::Var num_vars = 0;
+    std::size_t num_clauses = 0;
+  };
+
+  /// Emits the instance into `sink`. Returns nullopt, emitting nothing,
+  /// where build_atpg_circuit throws std::invalid_argument: no such node
+  /// or pin, or a site that reaches no primary output.
+  std::optional<Instance> emit(const net::Network& net,
+                               const StuckAtFault& fault, ClauseSink& sink);
+
+  /// After an emit() that returned an instance: the variable of `node`'s
+  /// good copy, or sat::kNullVar when `node` is outside the cone.
+  sat::Var good_var(net::NodeId node) const {
+    return cone_mark_[node] == epoch_ ? good_[node] : sat::kNullVar;
+  }
+
+ private:
+  bool in_tfo(net::NodeId v) const { return tfo_mark_[v] == epoch_; }
+  /// Canonicalizes `lits` and hands the result to `sink`, unless it is a
+  /// tautology.
+  void add(ClauseSink& sink, std::span<const sat::Lit> lits);
+  void add_unit(ClauseSink& sink, sat::Lit lit) {
+    add(sink, std::span<const sat::Lit>(&lit, 1));
+  }
+  /// The clauses of gate `z` over the fanin variables in ins_.
+  void add_gate(ClauseSink& sink, net::GateType type, sat::Var z);
+
+  std::size_t num_clauses_ = 0;
+  std::uint32_t epoch_ = 0;
+  std::vector<std::uint32_t> tfo_mark_;   ///< == epoch_: in the fanout cone
+  std::vector<std::uint32_t> cone_mark_;  ///< == epoch_: in C_psi^sub
+  std::vector<sat::Var> good_;            ///< valid where cone-marked
+  std::vector<sat::Var> faulty_;          ///< valid where tfo-marked
+  std::vector<net::NodeId> cone_;         ///< C_psi^sub, ascending
+  std::vector<net::NodeId> stack_;
+  std::vector<sat::Var> ins_;    ///< fanin variables of the gate at hand
+  sat::Clause clause_, wide_;    ///< canonicalize() buffer, wide gate clause
+};
 
 /// Lemma 4.2/4.3 ordering transfer: given an ordering `h` of the nodes of
 /// the original network C, produce the interleaved ordering h_psi of the

@@ -7,7 +7,6 @@
 #include "fault/obs_hooks.hpp"
 #include "fault/podem.hpp"
 #include "obs/trace.hpp"
-#include "sat/encode.hpp"
 #include "util/budget.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -99,17 +98,6 @@ double AtpgResult::fault_coverage() const {
          static_cast<double>(outcomes.size());
 }
 
-Pattern extract_test(const net::Network& netw, const AtpgCircuit& atpg,
-                     const std::vector<bool>& model, bool fill_value) {
-  Pattern test(netw.inputs().size(), fill_value);
-  for (std::size_t i = 0; i < netw.inputs().size(); ++i) {
-    const net::NodeId pi = netw.inputs()[i];
-    const net::NodeId miter_pi = atpg.good_of[pi];
-    if (miter_pi != net::kNullNode) test[i] = model[miter_pi];
-  }
-  return test;
-}
-
 FaultOutcome generate_test(const net::Network& netw,
                            const StuckAtFault& fault,
                            const sat::SolverConfig& solver_config,
@@ -128,36 +116,47 @@ FaultOutcome generate_test(const net::Network& netw,
     }
   }
 
-  std::optional<AtpgCircuit> atpg_opt;
-  try {
-    atpg_opt.emplace(build_atpg_circuit(netw, fault));
-  } catch (const std::invalid_argument&) {
+  // The emitter and the solver it loads are reused across this thread's
+  // calls; a reloaded solver searches exactly as a fresh one.
+  struct Scratch final : ClauseSink {
+    AtpgEmitter emitter;
+    sat::Solver solver;
+    sat::SolverConfig config;
+    void begin(sat::Var num_vars) override { solver.reset(num_vars, config); }
+    void add(std::span<const sat::Lit> clause) override {
+      solver.add_clause(clause);
+    }
+  };
+  thread_local Scratch scratch;
+  scratch.config = solver_config;
+  const std::optional<AtpgEmitter::Instance> instance =
+      scratch.emitter.emit(netw, fault, scratch);
+  if (!instance) {
     outcome.status = FaultStatus::kUnreachable;
     return outcome;
   }
-  AtpgCircuit& atpg = *atpg_opt;
-
-  sat::Cnf cnf = sat::encode_circuit_sat(atpg.miter);
-  // Excitation: the good value of the faulted net must differ from the
-  // stuck value. Implied by any satisfying assignment; stating it as a
-  // unit clause prunes the search (TEGUS does the same).
-  cnf.add_clause({sat::Lit(atpg.good_fault_net, fault.stuck_value)});
-
-  outcome.sat_vars = cnf.num_vars();
-  outcome.sat_clauses = cnf.num_clauses();
+  outcome.sat_vars = instance->num_vars;
+  outcome.sat_clauses = instance->num_clauses;
 
   Timer timer;
-  const sat::SolveResult result = sat::solve_cnf(cnf, solver_config);
+  const sat::SolveStatus status = scratch.solver.solve();
   outcome.solve_seconds = timer.seconds();
-  outcome.solver_stats = result.stats;
+  outcome.solver_stats = scratch.solver.stats();
   outcome.engine = SolveEngine::kSat;
   outcome.attempts = 1;
 
-  switch (result.status) {
-    case sat::SolveStatus::kSat:
+  switch (status) {
+    case sat::SolveStatus::kSat: {
       outcome.status = FaultStatus::kDetected;
-      test_out = extract_test(netw, atpg, result.model);
+      const std::vector<bool>& model = scratch.solver.model();
+      const auto pis = netw.inputs();
+      test_out.assign(pis.size(), false);
+      for (std::size_t i = 0; i < pis.size(); ++i) {
+        const sat::Var v = scratch.emitter.good_var(pis[i]);
+        if (v != sat::kNullVar) test_out[i] = model[v];
+      }
       break;
+    }
     case sat::SolveStatus::kUnsat:
       outcome.status = FaultStatus::kUntestable;
       break;

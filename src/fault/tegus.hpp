@@ -233,10 +233,16 @@ AtpgResult run_atpg(const net::Network& net, const AtpgOptions& options = {});
 /// Generates a test for a single fault (no dropping, no random phase).
 /// Returns the outcome plus, when detected, the pattern through `test_out`.
 ///
+/// The instance is AtpgEmitter's: the §2 miter's clauses plus the
+/// excitation unit, emitted from the fault's cone straight into a CDCL
+/// solver. FaultOutcome::solve_seconds times the search alone.
+///
 /// Thread-safe: yes; this is the per-fault kernel the parallel engine runs
-/// concurrently on pool workers. Each call builds a private miter, CNF and
-/// CDCL solver; the outcome is a pure function of (net, fault, solver), so
-/// concurrent and serial invocations return bit-identical results.
+/// concurrently on pool workers. Each thread keeps one emitter and one
+/// solver (a function-local thread_local) and reloads them per call; a
+/// reloaded solver searches exactly as a fresh one, so the outcome is a
+/// pure function of (net, fault, solver) and concurrent and serial
+/// invocations return bit-identical results.
 FaultOutcome generate_test(const net::Network& net, const StuckAtFault& fault,
                            const sat::SolverConfig& solver, Pattern& test_out);
 
@@ -320,10 +326,5 @@ AtpgResult run_atpg_pipeline(const net::Network& net,
                              const SimulateFn& simulate);
 
 }  // namespace detail
-
-/// Extracts a full-circuit input pattern from a satisfied miter model:
-/// support PIs take their model value, all other PIs `fill_value`.
-Pattern extract_test(const net::Network& net, const AtpgCircuit& atpg,
-                     const std::vector<bool>& model, bool fill_value = false);
 
 }  // namespace cwatpg::fault

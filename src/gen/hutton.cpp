@@ -37,13 +37,13 @@ net::Network hutton_random(const HuttonParams& params) {
 
   Rng rng(params.seed);
   Network n;
-  n.set_name("hutton" + std::to_string(params.num_gates) + "_s" +
+  n.set_name(net::indexed_name("hutton", params.num_gates) + "_s" +
              std::to_string(params.seed));
 
   std::vector<NodeId> open;
   open.reserve(params.num_inputs + params.num_gates);
   for (std::size_t i = 0; i < params.num_inputs; ++i)
-    open.push_back(n.add_input("x" + std::to_string(i)));
+    open.push_back(n.add_input(net::indexed_name("x", i)));
 
   // Long (position-free) wires are what breaks the log-width property, and
   // the published suites show only O(log n) worth of them; keep an explicit
@@ -129,10 +129,10 @@ net::Network hutton_random(const HuttonParams& params) {
   std::size_t po = 0;
   for (NodeId id : open)
     if (net::is_logic(n.type(id)))
-      n.add_output(id, "y" + std::to_string(po++));
+      n.add_output(id, net::indexed_name("y", po++));
   for (NodeId id = 0; id < n.node_count(); ++id)
     if (net::is_logic(n.type(id)) && n.fanouts(id).empty())
-      n.add_output(id, "y" + std::to_string(po++));
+      n.add_output(id, net::indexed_name("y", po++));
   if (po == 0) n.add_output(open.front(), "y0");
   return n;
 }

@@ -45,17 +45,17 @@ class BlockTagger {
 KBoundedInstance kbounded_adder(std::size_t bits) {
   if (bits == 0) throw std::invalid_argument("kbounded_adder: bits >= 1");
   net::Network n;
-  n.set_name("kb_rca" + std::to_string(bits));
+  n.set_name(net::indexed_name("kb_rca", bits));
   BlockTagger tagger(n);
   std::uint32_t next_block = 0;
 
   std::vector<NodeId> a(bits), b(bits);
   for (std::size_t i = 0; i < bits; ++i) {
-    a[i] = n.add_input("a" + std::to_string(i));
+    a[i] = n.add_input(net::indexed_name("a", i));
     tagger.tag(a[i], next_block++);
   }
   for (std::size_t i = 0; i < bits; ++i) {
-    b[i] = n.add_input("b" + std::to_string(i));
+    b[i] = n.add_input(net::indexed_name("b", i));
     tagger.tag(b[i], next_block++);
   }
   NodeId carry = n.add_input("cin");
@@ -68,7 +68,7 @@ KBoundedInstance kbounded_adder(std::size_t bits) {
     const NodeId ab = n.add_gate(GateType::kAnd, {a[i], b[i]});
     const NodeId axb_c = n.add_gate(GateType::kAnd, {axb, carry});
     const NodeId cout = n.add_gate(GateType::kOr, {ab, axb_c});
-    n.add_output(sum, "s" + std::to_string(i));
+    n.add_output(sum, net::indexed_name("s", i));
     carry = cout;
     tagger.tag_range(first, next_block++);
   }
@@ -84,7 +84,7 @@ KBoundedInstance kbounded_cellular(std::size_t cells) {
   if (cells == 0)
     throw std::invalid_argument("kbounded_cellular: cells >= 1");
   net::Network n;
-  n.set_name("kb_cell" + std::to_string(cells));
+  n.set_name(net::indexed_name("kb_cell", cells));
   BlockTagger tagger(n);
   std::uint32_t next_block = 0;
 
@@ -92,7 +92,7 @@ KBoundedInstance kbounded_cellular(std::size_t cells) {
   tagger.tag(state, next_block++);
   std::vector<NodeId> xs(cells);
   for (std::size_t i = 0; i < cells; ++i) {
-    xs[i] = n.add_input("x" + std::to_string(i));
+    xs[i] = n.add_input(net::indexed_name("x", i));
     tagger.tag(xs[i], next_block++);
   }
   for (std::size_t i = 0; i < cells; ++i) {
@@ -101,7 +101,7 @@ KBoundedInstance kbounded_cellular(std::size_t cells) {
     const NodeId either = n.add_gate(GateType::kOr, {state, xs[i]});
     const NodeId nboth = n.add_gate(GateType::kNot, {both});
     const NodeId diff = n.add_gate(GateType::kAnd, {either, nboth});
-    n.add_output(diff, "y" + std::to_string(i));
+    n.add_output(diff, net::indexed_name("y", i));
     state = n.add_gate(GateType::kOr, {both, diff});
     tagger.tag_range(first, next_block++);
   }
@@ -119,7 +119,7 @@ KBoundedInstance kbounded_random(std::size_t blocks, std::size_t block_gates,
     throw std::invalid_argument("kbounded_random: degenerate parameters");
   Rng rng(seed);
   net::Network n;
-  n.set_name("kb_rand" + std::to_string(blocks) + "x" +
+  n.set_name(net::indexed_name("kb_rand", blocks) + "x" +
              std::to_string(block_gates));
   BlockTagger tagger(n);
   std::uint32_t next_block = 0;
@@ -142,7 +142,7 @@ KBoundedInstance kbounded_random(std::size_t blocks, std::size_t block_gates,
     }
     while (inputs.size() < want) {
       const NodeId pi =
-          n.add_input("x" + std::to_string(n.inputs().size()));
+          n.add_input(net::indexed_name("x", n.inputs().size()));
       tagger.tag(pi, next_block++);
       inputs.push_back(pi);
     }
@@ -176,7 +176,7 @@ KBoundedInstance kbounded_random(std::size_t blocks, std::size_t block_gates,
   for (std::size_t i = 0; i < open_outputs.size(); ++i) {
     const NodeId src = open_outputs[i];
     const NodeId first = static_cast<NodeId>(n.node_count());
-    n.add_output(src, "y" + std::to_string(i));
+    n.add_output(src, net::indexed_name("y", i));
     // The PO marker joins its driver's block.
     // (BlockTagger::finish defaults missing tags to 0, so tag explicitly.)
     tagger.tag(first, 0);

@@ -43,14 +43,14 @@ void require(bool ok, const char* message) {
 Network ripple_carry_adder(std::size_t bits) {
   require(bits >= 1, "ripple_carry_adder: bits >= 1");
   Network n;
-  n.set_name("rca" + std::to_string(bits));
+  n.set_name(net::indexed_name("rca", bits));
   std::vector<NodeId> a(bits), b(bits);
-  for (std::size_t i = 0; i < bits; ++i) a[i] = n.add_input("a" + std::to_string(i));
-  for (std::size_t i = 0; i < bits; ++i) b[i] = n.add_input("b" + std::to_string(i));
+  for (std::size_t i = 0; i < bits; ++i) a[i] = n.add_input(net::indexed_name("a", i));
+  for (std::size_t i = 0; i < bits; ++i) b[i] = n.add_input(net::indexed_name("b", i));
   NodeId carry = n.add_input("cin");
   for (std::size_t i = 0; i < bits; ++i) {
     const FullAdder fa = full_adder(n, a[i], b[i], carry);
-    n.add_output(fa.sum, "s" + std::to_string(i));
+    n.add_output(fa.sum, net::indexed_name("s", i));
     carry = fa.cout;
   }
   n.add_output(carry, "cout");
@@ -60,10 +60,10 @@ Network ripple_carry_adder(std::size_t bits) {
 Network carry_select_adder(std::size_t bits, std::size_t block) {
   require(bits >= 1 && block >= 1, "carry_select_adder: sizes >= 1");
   Network n;
-  n.set_name("csa" + std::to_string(bits) + "_" + std::to_string(block));
+  n.set_name(net::indexed_name("csa", bits) + net::indexed_name("_", block));
   std::vector<NodeId> a(bits), b(bits);
-  for (std::size_t i = 0; i < bits; ++i) a[i] = n.add_input("a" + std::to_string(i));
-  for (std::size_t i = 0; i < bits; ++i) b[i] = n.add_input("b" + std::to_string(i));
+  for (std::size_t i = 0; i < bits; ++i) a[i] = n.add_input(net::indexed_name("a", i));
+  for (std::size_t i = 0; i < bits; ++i) b[i] = n.add_input(net::indexed_name("b", i));
   NodeId carry = n.add_input("cin");
 
   for (std::size_t base = 0; base < bits; base += block) {
@@ -72,7 +72,7 @@ Network carry_select_adder(std::size_t bits, std::size_t block) {
       // First block: plain ripple.
       for (std::size_t i = base; i < end; ++i) {
         const FullAdder fa = full_adder(n, a[i], b[i], carry);
-        n.add_output(fa.sum, "s" + std::to_string(i));
+        n.add_output(fa.sum, net::indexed_name("s", i));
         carry = fa.cout;
       }
       continue;
@@ -92,7 +92,7 @@ Network carry_select_adder(std::size_t bits, std::size_t block) {
     }
     for (std::size_t i = base; i < end; ++i)
       n.add_output(mux2(n, carry, s0[i - base], s1[i - base]),
-                   "s" + std::to_string(i));
+                   net::indexed_name("s", i));
     carry = mux2(n, carry, c0, c1);
   }
   n.add_output(carry, "cout");
@@ -102,10 +102,10 @@ Network carry_select_adder(std::size_t bits, std::size_t block) {
 Network decoder(std::size_t address_bits) {
   require(address_bits >= 1 && address_bits <= 12, "decoder: 1..12 bits");
   Network n;
-  n.set_name("dec" + std::to_string(address_bits));
+  n.set_name(net::indexed_name("dec", address_bits));
   std::vector<NodeId> addr(address_bits), naddr(address_bits);
   for (std::size_t i = 0; i < address_bits; ++i)
-    addr[i] = n.add_input("a" + std::to_string(i));
+    addr[i] = n.add_input(net::indexed_name("a", i));
   const NodeId enable = n.add_input("en");
   for (std::size_t i = 0; i < address_bits; ++i)
     naddr[i] = n.add_gate(GateType::kNot, {addr[i]});
@@ -115,7 +115,7 @@ Network decoder(std::size_t address_bits) {
     for (std::size_t i = 0; i < address_bits; ++i)
       terms.push_back((line >> i) & 1 ? addr[i] : naddr[i]);
     n.add_output(n.add_gate(GateType::kAnd, std::move(terms)),
-                 "y" + std::to_string(line));
+                 net::indexed_name("y", line));
   }
   return n;
 }
@@ -123,13 +123,13 @@ Network decoder(std::size_t address_bits) {
 Network mux_tree(std::size_t select_bits) {
   require(select_bits >= 1 && select_bits <= 10, "mux_tree: 1..10 bits");
   Network n;
-  n.set_name("mux" + std::to_string(std::size_t{1} << select_bits));
+  n.set_name(net::indexed_name("mux", std::size_t{1} << select_bits));
   const std::size_t ways = std::size_t{1} << select_bits;
   std::vector<NodeId> data(ways), sel(select_bits);
   for (std::size_t i = 0; i < ways; ++i)
-    data[i] = n.add_input("d" + std::to_string(i));
+    data[i] = n.add_input(net::indexed_name("d", i));
   for (std::size_t i = 0; i < select_bits; ++i)
-    sel[i] = n.add_input("s" + std::to_string(i));
+    sel[i] = n.add_input(net::indexed_name("s", i));
   std::vector<NodeId> layer = data;
   for (std::size_t level = 0; level < select_bits; ++level) {
     std::vector<NodeId> next;
@@ -144,10 +144,10 @@ Network mux_tree(std::size_t select_bits) {
 Network parity_tree(std::size_t width, std::size_t arity) {
   require(width >= 2 && arity >= 2, "parity_tree: width/arity >= 2");
   Network n;
-  n.set_name("par" + std::to_string(width));
+  n.set_name(net::indexed_name("par", width));
   std::vector<NodeId> layer(width);
   for (std::size_t i = 0; i < width; ++i)
-    layer[i] = n.add_input("x" + std::to_string(i));
+    layer[i] = n.add_input(net::indexed_name("x", i));
   while (layer.size() > 1) {
     std::vector<NodeId> next;
     for (std::size_t i = 0; i < layer.size(); i += arity) {
@@ -170,10 +170,10 @@ Network parity_tree(std::size_t width, std::size_t arity) {
 Network comparator(std::size_t bits) {
   require(bits >= 1, "comparator: bits >= 1");
   Network n;
-  n.set_name("cmp" + std::to_string(bits));
+  n.set_name(net::indexed_name("cmp", bits));
   std::vector<NodeId> a(bits), b(bits);
-  for (std::size_t i = 0; i < bits; ++i) a[i] = n.add_input("a" + std::to_string(i));
-  for (std::size_t i = 0; i < bits; ++i) b[i] = n.add_input("b" + std::to_string(i));
+  for (std::size_t i = 0; i < bits; ++i) a[i] = n.add_input(net::indexed_name("a", i));
+  for (std::size_t i = 0; i < bits; ++i) b[i] = n.add_input(net::indexed_name("b", i));
   // MSB-first iterative: eq so far, lt so far.
   NodeId eq = net::kNullNode, lt = net::kNullNode;
   for (std::size_t i = bits; i-- > 0;) {
@@ -202,10 +202,10 @@ Network comparator(std::size_t bits) {
 Network array_multiplier(std::size_t bits) {
   require(bits >= 2 && bits <= 64, "array_multiplier: 2..64 bits");
   Network n;
-  n.set_name("mul" + std::to_string(bits));
+  n.set_name(net::indexed_name("mul", bits));
   std::vector<NodeId> a(bits), b(bits);
-  for (std::size_t i = 0; i < bits; ++i) a[i] = n.add_input("a" + std::to_string(i));
-  for (std::size_t i = 0; i < bits; ++i) b[i] = n.add_input("b" + std::to_string(i));
+  for (std::size_t i = 0; i < bits; ++i) a[i] = n.add_input(net::indexed_name("a", i));
+  for (std::size_t i = 0; i < bits; ++i) b[i] = n.add_input(net::indexed_name("b", i));
 
   // Partial products pp[i][j] = a[j] & b[i].
   // Row-by-row carry-save accumulation; final ripple for the top carries.
@@ -245,7 +245,7 @@ Network array_multiplier(std::size_t bits) {
   const FullAdder top = full_adder(n, zero, carry[bits - 1], c);
   product.push_back(top.sum);
   for (std::size_t i = 0; i < product.size(); ++i)
-    n.add_output(product[i], "p" + std::to_string(i));
+    n.add_output(product[i], net::indexed_name("p", i));
   // Row-seeding constants leave redundant gates behind; fold them away so
   // the multiplier is irredundant (fully testable) by construction.
   return net::simplify(n);
@@ -254,16 +254,16 @@ Network array_multiplier(std::size_t bits) {
 Network cellular_array_1d(std::size_t cells) {
   require(cells >= 1, "cellular_array_1d: cells >= 1");
   Network n;
-  n.set_name("cell1d_" + std::to_string(cells));
+  n.set_name(net::indexed_name("cell1d_", cells));
   NodeId state = n.add_input("s0");
   for (std::size_t i = 0; i < cells; ++i) {
-    const NodeId x = n.add_input("x" + std::to_string(i));
+    const NodeId x = n.add_input(net::indexed_name("x", i));
     // Cell: next = (state XOR x) OR (state AND x) built from AND/OR/NOT.
     const NodeId both = n.add_gate(GateType::kAnd, {state, x});
     const NodeId either = n.add_gate(GateType::kOr, {state, x});
     const NodeId nboth = n.add_gate(GateType::kNot, {both});
     const NodeId diff = n.add_gate(GateType::kAnd, {either, nboth});
-    n.add_output(diff, "y" + std::to_string(i));
+    n.add_output(diff, net::indexed_name("y", i));
     state = n.add_gate(GateType::kOr, {both, diff});
   }
   n.add_output(state, "sN");
@@ -273,32 +273,32 @@ Network cellular_array_1d(std::size_t cells) {
 Network cellular_array_2d(std::size_t rows, std::size_t cols) {
   require(rows >= 1 && cols >= 1, "cellular_array_2d: sizes >= 1");
   Network n;
-  n.set_name("cell2d_" + std::to_string(rows) + "x" + std::to_string(cols));
+  n.set_name(net::indexed_name("cell2d_", rows) + net::indexed_name("x", cols));
   std::vector<NodeId> north(cols);
   for (std::size_t c = 0; c < cols; ++c)
-    north[c] = n.add_input("n" + std::to_string(c));
+    north[c] = n.add_input(net::indexed_name("n", c));
   for (std::size_t r = 0; r < rows; ++r) {
-    NodeId west = n.add_input("w" + std::to_string(r));
+    NodeId west = n.add_input(net::indexed_name("w", r));
     for (std::size_t c = 0; c < cols; ++c) {
       const NodeId both = n.add_gate(GateType::kAnd, {north[c], west});
       const NodeId either = n.add_gate(GateType::kOr, {north[c], west});
       west = both;       // east output
       north[c] = either; // south output
     }
-    n.add_output(west, "e" + std::to_string(r));
+    n.add_output(west, net::indexed_name("e", r));
   }
   for (std::size_t c = 0; c < cols; ++c)
-    n.add_output(north[c], "s" + std::to_string(c));
+    n.add_output(north[c], net::indexed_name("s", c));
   return n;
 }
 
 Network and_or_tree(std::size_t leaves, std::size_t arity) {
   require(leaves >= 2 && arity >= 2, "and_or_tree: leaves/arity >= 2");
   Network n;
-  n.set_name("tree" + std::to_string(leaves));
+  n.set_name(net::indexed_name("tree", leaves));
   std::vector<NodeId> layer(leaves);
   for (std::size_t i = 0; i < leaves; ++i)
-    layer[i] = n.add_input("x" + std::to_string(i));
+    layer[i] = n.add_input(net::indexed_name("x", i));
   bool use_and = true;
   while (layer.size() > 1) {
     std::vector<NodeId> next;
@@ -323,10 +323,10 @@ Network and_or_tree(std::size_t leaves, std::size_t arity) {
 Network simple_alu(std::size_t bits) {
   require(bits >= 1, "simple_alu: bits >= 1");
   Network n;
-  n.set_name("alu" + std::to_string(bits));
+  n.set_name(net::indexed_name("alu", bits));
   std::vector<NodeId> a(bits), b(bits);
-  for (std::size_t i = 0; i < bits; ++i) a[i] = n.add_input("a" + std::to_string(i));
-  for (std::size_t i = 0; i < bits; ++i) b[i] = n.add_input("b" + std::to_string(i));
+  for (std::size_t i = 0; i < bits; ++i) a[i] = n.add_input(net::indexed_name("a", i));
+  for (std::size_t i = 0; i < bits; ++i) b[i] = n.add_input(net::indexed_name("b", i));
   const NodeId op0 = n.add_input("op0");
   const NodeId op1 = n.add_input("op1");
 
@@ -339,7 +339,7 @@ Network simple_alu(std::size_t bits) {
     const NodeId lxor = n.add_gate(GateType::kXor, {a[i], b[i]});
     const NodeId lo = mux2(n, op0, fa.sum, land);
     const NodeId hi = mux2(n, op0, lor, lxor);
-    n.add_output(mux2(n, op1, lo, hi), "y" + std::to_string(i));
+    n.add_output(mux2(n, op1, lo, hi), net::indexed_name("y", i));
   }
   n.add_output(carry, "cout");
   return net::simplify(n);
@@ -348,10 +348,10 @@ Network simple_alu(std::size_t bits) {
 Network hamming_ecc(std::size_t data_bits) {
   require(data_bits >= 4, "hamming_ecc: data_bits >= 4");
   Network n;
-  n.set_name("ecc" + std::to_string(data_bits));
+  n.set_name(net::indexed_name("ecc", data_bits));
   std::vector<NodeId> d(data_bits);
   for (std::size_t i = 0; i < data_bits; ++i)
-    d[i] = n.add_input("d" + std::to_string(i));
+    d[i] = n.add_input(net::indexed_name("d", i));
 
   std::size_t parity_count = 1;
   while ((std::size_t{1} << parity_count) < data_bits + parity_count + 1)
@@ -376,7 +376,7 @@ Network hamming_ecc(std::size_t data_bits) {
       layer = std::move(next);
     }
     syndrome.push_back(layer[0]);
-    n.add_output(layer[0], "p" + std::to_string(j));
+    n.add_output(layer[0], net::indexed_name("p", j));
   }
 
   // Per-bit corrected output: data XOR (syndrome decodes to this position).
@@ -391,7 +391,7 @@ Network hamming_ecc(std::size_t data_bits) {
                             ? terms[0]
                             : n.add_gate(GateType::kAnd, std::move(terms));
     n.add_output(n.add_gate(GateType::kXor, {d[i], here}),
-                 "c" + std::to_string(i));
+                 net::indexed_name("c", i));
   }
   return n;
 }

@@ -18,7 +18,7 @@ namespace {
 NodeId grow_subtree(Network& n, std::size_t budget, std::size_t max_arity,
                     Rng& rng, std::size_t& pi_counter) {
   if (budget == 0) {
-    return n.add_input("x" + std::to_string(pi_counter++));
+    return n.add_input(net::indexed_name("x", pi_counter++));
   }
   if (rng.chance(0.15)) {
     const NodeId child =
@@ -45,7 +45,7 @@ NodeId grow_subtree(Network& n, std::size_t budget, std::size_t max_arity,
 Network random_tree(std::size_t num_gates, std::size_t max_arity,
                     std::uint64_t seed) {
   Network n;
-  n.set_name("rtree" + std::to_string(num_gates) + "_" +
+  n.set_name(net::indexed_name("rtree", num_gates) + "_" +
              std::to_string(seed));
   Rng rng(seed);
   std::size_t pi_counter = 0;

@@ -25,6 +25,14 @@ std::string to_string(GateType type) {
   return "?";
 }
 
+std::string indexed_name(std::string_view prefix, std::size_t index) {
+  // Appended, not `prefix + std::to_string(index)`: GCC 12 raises a false
+  // -Wrestrict inside that operator+ at -O3.
+  std::string name(prefix);
+  name += std::to_string(index);
+  return name;
+}
+
 bool is_logic(GateType type) {
   switch (type) {
     case GateType::kInput:
@@ -129,7 +137,7 @@ NodeId Network::add_output(NodeId src, std::string name) {
 std::string Network::name_of(NodeId id) const {
   if (id < node_names_.size() && !node_names_[id].empty())
     return node_names_[id];
-  return "n" + std::to_string(id);
+  return indexed_name("n", id);
 }
 
 std::optional<NodeId> Network::find(const std::string& name) const {

@@ -24,6 +24,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cwatpg::net {
@@ -49,6 +50,10 @@ enum class GateType : std::uint8_t {
 /// Gate-type display name ("AND", "INPUT", ...), matching .bench keywords
 /// where one exists.
 std::string to_string(GateType type);
+
+/// `prefix` followed by `index` in decimal ("x3"): the names generated
+/// circuits give their inputs, outputs and nodes.
+std::string indexed_name(std::string_view prefix, std::size_t index);
 
 /// True for kAnd/kNand/kOr/kNor/kXor/kXnor/kNot/kBuf — i.e. logic gates
 /// (as opposed to IO markers and constants).

@@ -307,7 +307,10 @@ void write_verilog(std::ostream& out, const Network& netw) {
       if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_' &&
           c != '$')
         c = '_';
-    while (!used.insert(s).second) s += "_" + std::to_string(id);
+    while (!used.insert(s).second) {
+      s += '_';
+      s += std::to_string(id);
+    }
     return s;
   };
   for (NodeId id = 0; id < netw.node_count(); ++id) name[id] = sanitize(id);

@@ -287,7 +287,9 @@ RunReport merge_runs(std::span<const RunReport> runs) {
   total.solver.stop_reason = StopReason::kNone;
   total.workers.clear();  // per-worker detail does not merge across runs
   if (!same_circuit)
-    total.circuit = "<" + std::to_string(runs.size()) + " circuits>";
+    total.circuit = std::string("<")
+                        .append(std::to_string(runs.size()))
+                        .append(" circuits>");
   // Recompute the ratios from the merged counts: detected statuses are
   // kDetected + both dropped kinds; efficiency adds untestable+unreachable.
   const double n = total.faults > 0 ? static_cast<double>(total.faults) : 1.0;

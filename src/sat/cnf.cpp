@@ -6,13 +6,21 @@
 
 namespace cwatpg::sat {
 
+std::size_t canonicalize(std::span<Lit> clause) {
+  std::sort(clause.begin(), clause.end());
+  const auto size = static_cast<std::size_t>(
+      std::unique(clause.begin(), clause.end()) - clause.begin());
+  for (std::size_t i = 0; i + 1 < size; ++i)
+    if (clause[i].var() == clause[i + 1].var()) return 0;  // x ∨ ¬x
+  return size;
+}
+
 bool Cnf::add_clause(Clause clause) {
   if (clause.empty())
     throw std::invalid_argument("Cnf::add_clause: empty clause");
-  std::sort(clause.begin(), clause.end());
-  clause.erase(std::unique(clause.begin(), clause.end()), clause.end());
-  for (std::size_t i = 0; i + 1 < clause.size(); ++i)
-    if (clause[i].var() == clause[i + 1].var()) return false;  // tautology
+  const std::size_t size = canonicalize(clause);
+  if (size == 0) return false;  // tautology
+  clause.resize(size);
   if (clause.back().var() >= num_vars_)
     throw std::invalid_argument("Cnf::add_clause: variable out of range");
   clauses_.push_back(std::move(clause));

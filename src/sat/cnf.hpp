@@ -49,6 +49,11 @@ constexpr Lit neg(Var v) { return Lit(v, true); }
 
 using Clause = std::vector<Lit>;
 
+/// Cnf::add_clause's normal form, in place: sorts `clause` and removes
+/// repeated literals. Returns the length of the result, which is the
+/// prefix of `clause` — or 0 when the clause is a tautology (x ∨ ¬x).
+std::size_t canonicalize(std::span<Lit> clause);
+
 /// CNF formula. Clauses are stored in insertion order; semantic identity is
 /// as a set (the cache-based solver canonicalizes where needed).
 class Cnf {

@@ -6,62 +6,10 @@ namespace cwatpg::sat {
 
 void add_gate_clauses(Cnf& cnf, net::GateType type, Var z,
                       std::span<const Var> ins) {
-  using net::GateType;
-  switch (type) {
-    case GateType::kBuf: {
-      cnf.add_clause({pos(ins[0]), neg(z)});
-      cnf.add_clause({neg(ins[0]), pos(z)});
-      return;
-    }
-    case GateType::kNot: {
-      cnf.add_clause({pos(ins[0]), pos(z)});
-      cnf.add_clause({neg(ins[0]), neg(z)});
-      return;
-    }
-    case GateType::kAnd:
-    case GateType::kNand: {
-      const Lit zt = type == GateType::kAnd ? pos(z) : neg(z);
-      // Each input low forces output "false"; all inputs high force "true".
-      Clause all;
-      for (Var a : ins) {
-        cnf.add_clause({pos(a), ~zt});
-        all.push_back(neg(a));
-      }
-      all.push_back(zt);
-      cnf.add_clause(std::move(all));
-      return;
-    }
-    case GateType::kOr:
-    case GateType::kNor: {
-      const Lit zt = type == GateType::kOr ? pos(z) : neg(z);
-      Clause all;
-      for (Var a : ins) {
-        cnf.add_clause({neg(a), zt});
-        all.push_back(pos(a));
-      }
-      all.push_back(~zt);
-      cnf.add_clause(std::move(all));
-      return;
-    }
-    case GateType::kXor:
-    case GateType::kXnor: {
-      if (ins.size() != 2)
-        throw std::invalid_argument(
-            "add_gate_clauses: XOR/XNOR must be 2-input (decompose first)");
-      const bool inv = type == GateType::kXnor;
-      const Var a = ins[0];
-      const Var b = ins[1];
-      const Lit zp = inv ? neg(z) : pos(z);
-      cnf.add_clause({neg(a), neg(b), ~zp});
-      cnf.add_clause({pos(a), pos(b), ~zp});
-      cnf.add_clause({neg(a), pos(b), zp});
-      cnf.add_clause({pos(a), neg(b), zp});
-      return;
-    }
-    default:
-      throw std::invalid_argument(
-          "add_gate_clauses: type has no gate function");
-  }
+  Clause wide;
+  for_each_gate_clause(type, z, ins, wide, [&](std::span<const Lit> c) {
+    cnf.add_clause(Clause(c.begin(), c.end()));
+  });
 }
 
 Cnf encode_constraints(const net::Network& netw) {

@@ -69,9 +69,18 @@ Var Solver::heap_pop() {
 
 // ---------------------------------------------------------------------------
 
-Solver::Solver(const Cnf& cnf, SolverConfig config) : config_(config) {
-  const Var n = cnf.num_vars();
-  watches_.resize(static_cast<std::size_t>(n) * 2);
+Solver::Solver(const Cnf& cnf, SolverConfig config) {
+  reset(cnf.num_vars(), config);
+  for (const Clause& c : cnf.clauses()) add_clause(c);
+}
+
+void Solver::reset(Var num_vars, SolverConfig config) {
+  config_ = config;
+  const std::size_t n = num_vars;
+  // Only the last instance's literals can have watchers.
+  const std::size_t used = std::min(watches_.size(), 2 * assign_.size());
+  for (std::size_t i = 0; i < used; ++i) watches_[i].clear();
+  if (watches_.size() < 2 * n) watches_.resize(2 * n);
   assign_.assign(n, kUndef);
   level_.assign(n, 0);
   reason_.assign(n, kNoReason);
@@ -79,52 +88,70 @@ Solver::Solver(const Cnf& cnf, SolverConfig config) : config_(config) {
   polarity_.assign(n, false);
   seen_.assign(n, 0);
   model_.assign(n, false);
-  heap_pos_.assign(n, kNotInHeap);
-  heap_.reserve(n);
-  for (Var v = 0; v < n; ++v) heap_insert(v);
+  // Every activity is 0, so the identity order is the heap a fresh
+  // solver's inserts build.
+  heap_.resize(n);
+  heap_pos_.resize(n);
+  for (Var v = 0; v < num_vars; ++v) {
+    heap_[v] = v;
+    heap_pos_[v] = v;
+  }
 
-  for (const Clause& c : cnf.clauses()) {
-    // Strip root-falsified literals; drop root-satisfied clauses. (Units
-    // may already be on the trail from earlier clauses.)
-    Clause reduced;
-    bool satisfied = false;
-    for (Lit l : c) {
-      const std::uint8_t v = value(l);
-      if (v == kTrue) {
-        satisfied = true;
-        break;
-      }
-      if (v == kUndef) reduced.push_back(l);
-    }
-    if (satisfied) continue;
-    if (reduced.empty()) {
-      root_conflict_ = true;
+  arena_.clear();
+  trail_.clear();
+  trail_limits_.clear();
+  propagate_head_ = 0;
+  activity_increment_ = 1.0;
+  stats_ = {};
+  query_base_ = {};
+  problem_end_ = 0;
+  query_begin_ = 0;
+  root_conflict_ = false;
+}
+
+void Solver::add_clause(std::span<const Lit> c) {
+  if (root_conflict_) return;
+  for (Lit l : c)
+    if (l.var() >= assign_.size())
+      throw std::invalid_argument("Solver::add_clause: variable out of range");
+  // Strip root-falsified literals; drop root-satisfied clauses. (Units
+  // may already be on the trail from earlier clauses.) The reduced clause
+  // is written straight after a size word at the arena's end.
+  const auto ref = static_cast<std::uint32_t>(arena_.size());
+  arena_.push_back(Lit());
+  for (Lit l : c) {
+    const std::uint8_t v = value(l);
+    if (v == kTrue) {
+      arena_.resize(ref);
       return;
     }
-    if (reduced.size() == 1) {
-      if (!enqueue(reduced[0], kNoReason) || propagate() != kNoReason) {
-        root_conflict_ = true;
-        return;
-      }
-      continue;
-    }
-    add_internal_clause(std::move(reduced));
+    if (v == kUndef) arena_.push_back(l);
   }
-  num_problem_clauses_ = clauses_.size();
-  query_begin_clauses_ = clauses_.size();
+  const std::size_t size = arena_.size() - ref - 1;
+  if (size < 2) {
+    const Lit unit = arena_.back();
+    arena_.resize(ref);
+    if (size == 0 || !enqueue(unit, kNoReason) || propagate() != kNoReason)
+      root_conflict_ = true;
+    return;
+  }
+  arena_[ref] = Lit::from_code(static_cast<std::uint32_t>(size));
+  attach(ref);
+  problem_end_ = arena_.size();
 }
 
-std::uint32_t Solver::add_internal_clause(Clause c) {
-  const auto index = static_cast<std::uint32_t>(clauses_.size());
-  clauses_.push_back(std::move(c));
-  attach(index);
-  return index;
+std::uint32_t Solver::add_internal_clause(std::span<const Lit> c) {
+  const auto ref = static_cast<std::uint32_t>(arena_.size());
+  arena_.push_back(Lit::from_code(static_cast<std::uint32_t>(c.size())));
+  arena_.insert(arena_.end(), c.begin(), c.end());
+  attach(ref);
+  return ref;
 }
 
-void Solver::attach(std::uint32_t clause_index) {
-  const Clause& c = clauses_[clause_index];
-  watches_[(~c[0]).code()].push_back({clause_index, c[1]});
-  watches_[(~c[1]).code()].push_back({clause_index, c[0]});
+void Solver::attach(std::uint32_t ref) {
+  const std::span<Lit> c = clause(ref);
+  watches_[(~c[0]).code()].push_back({ref, c[1]});
+  watches_[(~c[1]).code()].push_back({ref, c[0]});
 }
 
 bool Solver::enqueue(Lit l, std::uint32_t reason) {
@@ -133,8 +160,7 @@ bool Solver::enqueue(Lit l, std::uint32_t reason) {
   // An implication driven by a clause learnt on an EARLIER solve() call
   // is reused knowledge — the incremental engine's payoff signal. The
   // range is empty for a one-shot solver, so this never fires there.
-  if (reason != kNoReason && reason >= num_problem_clauses_ &&
-      reason < query_begin_clauses_)
+  if (reason != kNoReason && reason >= problem_end_ && reason < query_begin_)
     ++stats_.reused_implications;
   assign_[l.var()] = l.negated() ? kFalse : kTrue;
   level_[l.var()] = static_cast<std::uint32_t>(trail_limits_.size());
@@ -155,7 +181,7 @@ std::uint32_t Solver::propagate() {
         watch_list[keep++] = w;
         continue;
       }
-      Clause& c = clauses_[w.clause];
+      const std::span<Lit> c = clause(w.clause);
       const Lit not_p = ~p;
       // Invariant: while a clause is some variable's reason, its implied
       // literal sits in slot 0 and is true, so this swap (which requires
@@ -213,7 +239,7 @@ void Solver::analyze(std::uint32_t conflict, Clause& learnt,
   std::uint32_t clause_index = conflict;
 
   for (;;) {
-    const Clause& c = clauses_[clause_index];
+    const std::span<const Lit> c = clause(clause_index);
     // For reason clauses the implied literal is c[0] (see propagate);
     // skip it when expanding a reason.
     for (std::size_t k = (have_p ? 1 : 0); k < c.size(); ++k) {
@@ -245,7 +271,7 @@ void Solver::analyze(std::uint32_t conflict, Clause& learnt,
   auto redundant = [&](Lit q) {
     const std::uint32_t r = reason_[q.var()];
     if (r == kNoReason) return false;
-    for (Lit x : clauses_[r]) {
+    for (Lit x : clause(r)) {
       if (x.var() == q.var()) continue;
       if (level(x.var()) == 0 || seen_[x.var()]) continue;
       return false;
@@ -313,7 +339,7 @@ SolveStatus Solver::solve(std::span<const Lit> assumptions) {
   stats_.stop_reason = StopReason::kNone;
   // Per-call baselines: effort caps and query_stats() measure from here.
   query_base_ = stats_;
-  query_begin_clauses_ = clauses_.size();
+  query_begin_ = arena_.size();
   if (root_conflict_) return SolveStatus::kUnsat;
   for (Lit a : assumptions)
     if (a.var() >= assign_.size())

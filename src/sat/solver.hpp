@@ -11,6 +11,12 @@
 // analysis, VSIDS-style decision activities, phase saving, Luby restarts.
 // No clause deletion (ATPG-SAT instances are small and easy; learnt sets
 // stay tiny).
+//
+// Loading: problem and learnt clauses live in one flat arena. reset()
+// starts a new instance in the same object, keeping the capacity of the
+// arena, the per-variable arrays and every watch list, and add_clause()
+// streams its clauses in one at a time — the path the Cnf constructor
+// takes too. A reloaded solver searches exactly as a fresh one would.
 #pragma once
 
 #include <cstdint>
@@ -86,16 +92,34 @@ struct SolverConfig {
 // Thread-safe: per-instance. A Solver owns all of its mutable state (no
 // globals, no statics, no shared caches), so distinct instances may run
 // concurrently on distinct threads — this is the contract the fault-
-// parallel ATPG engine relies on, one private Solver per in-flight fault.
-// A single instance is NOT internally synchronized: never call solve()/
-// model()/stats() on the same instance from two threads at once. The input
-// Cnf is only read during construction and need not outlive the Solver.
-// Determinism: solve() is a pure function of (cnf, config, call history) —
-// no timing, addresses, or randomness feed the search — so concurrent and
-// serial runs return bit-identical models and stats.
+// parallel ATPG engine relies on, one Solver per thread, reloaded for
+// each fault. A single instance is NOT internally synchronized: never call
+// solve()/model()/stats() on the same instance from two threads at once.
+// The input Cnf is only read during construction and need not outlive the
+// Solver.
+// Determinism: solve() is a pure function of (clauses, config, call history
+// since the last reset) — no timing, addresses, randomness or earlier
+// instances feed the search — so concurrent, serial, fresh and reloaded
+// solvers return bit-identical models and stats.
 class Solver {
  public:
+  /// An empty instance (zero variables); reset() loads a real one.
+  Solver() = default;
+  /// reset(cnf.num_vars(), config), then add_clause() for every clause.
   explicit Solver(const Cnf& cnf, SolverConfig config = {});
+
+  /// Starts a new instance over `num_vars` variables with no clauses,
+  /// forgetting everything about the previous one (clauses, assignment,
+  /// activities, phases, stats, model) but keeping allocated capacity.
+  void reset(Var num_vars, SolverConfig config = {});
+
+  /// Adds a problem clause, before the first solve() of the instance. The
+  /// clause must be duplicate-free and not a tautology (Cnf's form). A
+  /// clause already satisfied at the root is dropped, root-false literals
+  /// are stripped, and a unit is propagated at once. After a root conflict
+  /// further clauses are ignored: the instance is already UNSAT. Throws
+  /// std::invalid_argument on a variable >= num_vars.
+  void add_clause(std::span<const Lit> clause);
 
   /// Solves the instance. Repeat calls re-run the search from the root
   /// (learnt clauses are kept, so a second call is cheap).
@@ -164,14 +188,20 @@ class Solver {
   }
   std::uint32_t level(Var v) const { return level_[v]; }
 
+  // A clause reference is the arena offset of the clause's size word; its
+  // literals follow it.
+  std::span<Lit> clause(std::uint32_t ref) {
+    return {arena_.data() + ref + 1, arena_[ref].code()};
+  }
+
   bool enqueue(Lit l, std::uint32_t reason);
-  std::uint32_t propagate();  // returns conflicting clause index or kNoReason
+  std::uint32_t propagate();  // returns the conflicting clause or kNoReason
   void analyze(std::uint32_t conflict, Clause& learnt,
                std::uint32_t& backtrack_level);
   void backtrack_to(std::uint32_t target_level);
   void bump(Var v);
-  void attach(std::uint32_t clause_index);
-  std::uint32_t add_internal_clause(Clause c);
+  void attach(std::uint32_t ref);
+  std::uint32_t add_internal_clause(std::span<const Lit> c);
 
   // Indexed max-heap over activity_ for decision picking.
   void heap_swap(std::size_t a, std::size_t b);
@@ -182,8 +212,12 @@ class Solver {
   static constexpr std::size_t kNotInHeap = static_cast<std::size_t>(-1);
 
   SolverConfig config_;
-  std::vector<Clause> clauses_;
-  std::vector<std::vector<Watcher>> watches_;  // indexed by Lit::code()
+  /// Every clause, problem then learnt, as a size word (a Lit whose code()
+  /// is the length) followed by the literals.
+  std::vector<Lit> arena_;
+  /// Indexed by Lit::code(). Never shrinks: reset() clears the lists the
+  /// last instance used and keeps their capacity.
+  std::vector<std::vector<Watcher>> watches_;
   std::vector<std::uint8_t> assign_;
   std::vector<std::uint32_t> level_;
   std::vector<std::uint32_t> reason_;
@@ -204,12 +238,12 @@ class Solver {
   /// subtracts it, and the conflict/propagation caps compare against the
   /// delta so every call gets a full budget of its own.
   SolverStats query_base_;
-  /// clauses_.size() after construction / at the current solve()'s entry.
-  /// A propagation whose reason index lies in [num_problem_clauses_,
-  /// query_begin_clauses_) was driven by a clause learnt on an earlier
-  /// call — that is the reused_implications counting rule.
-  std::size_t num_problem_clauses_ = 0;
-  std::size_t query_begin_clauses_ = 0;
+  /// The arena's end after the last problem clause / at the current
+  /// solve()'s entry. A propagation whose reason lies in [problem_end_,
+  /// query_begin_) was driven by a clause learnt on an earlier call — that
+  /// is the reused_implications counting rule.
+  std::size_t problem_end_ = 0;
+  std::size_t query_begin_ = 0;
   bool root_conflict_ = false;
 };
 

@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
       pids.push_back(child.pid);
       svc::Cluster::WorkerEndpoint e;
       e.transport = std::move(child.transport);
-      e.name = "w" + std::to_string(i);
+      e.name = std::string("w").append(std::to_string(i));
       e.pid = child.pid;
       // The respawn factory the supervisor calls (from the slot's own
       // worker thread, outside the coordinator lock) after this child

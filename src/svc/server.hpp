@@ -153,7 +153,7 @@ struct ServerOptions {
   /// is replayed: accepted-but-not-terminal jobs from a previous process
   /// are reported as interrupted (status `interrupted_jobs`) and closed
   /// out in the journal, so a crash never silently forgets work.
-  std::string journal_path;
+  std::string journal_path = {};
 
   /// Job watchdog (0 = disabled): a RUNNING run_atpg job whose Budget
   /// shows no progress polls for `watchdog_stall_seconds` is presumed

@@ -49,15 +49,20 @@ const char* mode_name(Mode mode) {
 
 std::string Spec::to_string() const {
   std::string out = mode_name(mode);
-  if (mode == Mode::kNth || mode == Mode::kEveryNth)
-    out += ":" + std::to_string(n);
+  if (mode == Mode::kNth || mode == Mode::kEveryNth) {
+    out += ':';
+    out += std::to_string(n);
+  }
   if (mode == Mode::kProb) {
     char buf[64];
     std::snprintf(buf, sizeof buf, ":%g:%llu", p,
                   static_cast<unsigned long long>(seed));
     out += buf;
   }
-  if (arg != 0) out += "@" + std::to_string(arg);
+  if (arg != 0) {
+    out += '@';
+    out += std::to_string(arg);
+  }
   return out;
 }
 

@@ -4,11 +4,14 @@
 #include "core/cutwidth.hpp"
 #include "core/mla.hpp"
 #include "fault/atpg_circuit.hpp"
+#include "fault/tegus.hpp"
 #include "gen/hutton.hpp"
 #include "gen/structured.hpp"
+#include "gen/suites.hpp"
 #include "gen/trees.hpp"
 #include "netlist/decompose.hpp"
 #include "netlist/simulate.hpp"
+#include "sat/encode.hpp"
 #include "util/rng.hpp"
 
 namespace cwatpg::fault {
@@ -169,6 +172,112 @@ TEST(AtpgCircuit, UnobservableSiteThrows) {
   n.add_output(n.add_gate(net::GateType::kBuf, {a}), "o");
   EXPECT_THROW(build_atpg_circuit(n, {1, StuckAtFault::kStem, true}),
                std::invalid_argument);
+}
+
+// --- AtpgEmitter ------------------------------------------------------------
+
+/// Records an emitted instance as the emitter hands it over, before any
+/// sink reduces it.
+struct CapturedInstance final : ClauseSink {
+  int begins = 0;
+  sat::Var num_vars = 0;
+  std::vector<sat::Clause> clauses;
+
+  void begin(sat::Var n) override {
+    ++begins;
+    num_vars = n;
+    clauses.clear();
+  }
+  void add(std::span<const sat::Lit> clause) override {
+    clauses.emplace_back(clause.begin(), clause.end());
+  }
+};
+
+/// The instance the emitter must reproduce: CIRCUIT-SAT of the §2 miter
+/// plus the excitation unit.
+sat::Cnf reference_instance(const AtpgCircuit& atpg) {
+  sat::Cnf cnf = sat::encode_circuit_sat(atpg.miter);
+  cnf.add_clause({sat::Lit(atpg.good_fault_net, atpg.fault.stuck_value)});
+  return cnf;
+}
+
+/// Emits `f` with `emitter` and compares it clause for clause with the
+/// reference encoding, and each PI's good-copy variable with good_of.
+void expect_emits_reference(AtpgEmitter& emitter, const net::Network& n,
+                            const StuckAtFault& f) {
+  CapturedInstance captured;
+  const std::optional<AtpgEmitter::Instance> emitted =
+      emitter.emit(n, f, captured);
+  std::optional<AtpgCircuit> atpg;
+  try {
+    atpg.emplace(build_atpg_circuit(n, f));
+  } catch (const std::invalid_argument&) {
+  }
+  ASSERT_EQ(emitted.has_value(), atpg.has_value()) << to_string(n, f);
+  if (!atpg) {
+    EXPECT_EQ(captured.begins, 0);
+    return;
+  }
+  const sat::Cnf ref = reference_instance(*atpg);
+  EXPECT_EQ(captured.begins, 1);
+  ASSERT_EQ(captured.num_vars, ref.num_vars()) << to_string(n, f);
+  EXPECT_EQ(emitted->num_vars, ref.num_vars());
+  EXPECT_EQ(emitted->num_clauses, ref.num_clauses());
+  ASSERT_EQ(captured.clauses.size(), ref.num_clauses()) << to_string(n, f);
+  for (std::size_t i = 0; i < ref.num_clauses(); ++i)
+    ASSERT_EQ(captured.clauses[i], ref.clause(i))
+        << to_string(n, f) << ", clause " << i;
+  for (const net::NodeId pi : n.inputs())
+    ASSERT_EQ(emitter.good_var(pi), atpg->good_of[pi]) << to_string(n, f);
+}
+
+TEST(AtpgEmitter, EmitsTheReferenceInstanceForEveryFaultOfBothSuites) {
+  gen::SuiteOptions opts;
+  opts.scale = 0.1;
+  std::vector<net::Network> circuits = gen::iscas85_like_suite(opts);
+  for (net::Network& n : gen::mcnc_like_suite(opts))
+    circuits.push_back(std::move(n));
+  // One emitter across every circuit: its marks and per-node variables
+  // are reused between hosts of different sizes.
+  AtpgEmitter emitter;
+  std::size_t faults = 0;
+  for (const net::Network& n : circuits) {
+    for (const StuckAtFault& f : collapsed_fault_list(n)) {
+      expect_emits_reference(emitter, n, f);
+      if (HasFatalFailure()) return;
+      ++faults;
+    }
+  }
+  EXPECT_EQ(faults, 6044u);
+}
+
+TEST(AtpgEmitter, EmitsTheReferenceInstanceForOutputPinFaults) {
+  const net::Network n = gen::c17();
+  AtpgEmitter emitter;
+  for (const net::NodeId po : n.outputs()) {
+    for (const bool v : {false, true}) {
+      expect_emits_reference(emitter, n, {po, 0, v});
+      // The same net's stem fault on the driver, for contrast.
+      expect_emits_reference(emitter, n,
+                             {n.fanins(po)[0], StuckAtFault::kStem, v});
+    }
+  }
+}
+
+TEST(AtpgEmitter, SiteThatReachesNoOutputIsUnreachableOnBothPaths) {
+  net::Network n;
+  const auto a = n.add_input("a");
+  const auto dangling = n.add_gate(net::GateType::kNot, {a});
+  n.add_output(n.add_gate(net::GateType::kBuf, {a}), "o");
+  AtpgEmitter emitter;
+  for (const StuckAtFault& f :
+       {StuckAtFault{dangling, StuckAtFault::kStem, true},
+        StuckAtFault{dangling, 0, false}, StuckAtFault{999, -1, false},
+        StuckAtFault{dangling, 3, false}}) {
+    expect_emits_reference(emitter, n, f);
+    Pattern test;
+    EXPECT_EQ(generate_test(n, f, {}, test).status, FaultStatus::kUnreachable);
+  }
 }
 
 // --- Lemma 4.2 --------------------------------------------------------------

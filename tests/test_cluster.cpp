@@ -114,7 +114,7 @@ struct ClusterFixture {
     for (std::size_t i = 0; i < workers; ++i) {
       Cluster::WorkerEndpoint e;
       e.transport = boot_server();
-      e.name = "w" + std::to_string(i);
+      e.name = std::string("w").append(std::to_string(i));
       if (supervised) {
         e.respawn = [this]() {
           Cluster::WorkerEndpoint::Respawned r;
@@ -812,8 +812,9 @@ TEST(Cluster, CancelOfQueuedForwardedJobStillGetsATerminal) {
       // race landed after the job started, the worker's terminal. Either
       // way, there IS a terminal — that is the contract under test.
       saw_fsim = true;
-      if (!frame.at("ok").as_bool())
+      if (!frame.at("ok").as_bool()) {
         EXPECT_EQ(frame.at("error").at("code").as_string(), "cancelled");
+      }
     } else {
       ASSERT_EQ(id, cancel_id) << frame.dump();
       saw_cancel_ack = true;

@@ -80,7 +80,7 @@ TEST(Decompose, EquivalenceWideGates) {
   Network src;
   std::vector<NodeId> pis;
   for (int i = 0; i < 9; ++i)
-    pis.push_back(src.add_input("x" + std::to_string(i)));
+    pis.push_back(src.add_input(net::indexed_name("x", i)));
   src.add_output(src.add_gate(GateType::kAnd, pis), "wide_and");
   src.add_output(src.add_gate(GateType::kNor, pis), "wide_nor");
   src.add_output(src.add_gate(GateType::kXor, pis), "wide_xor");

@@ -5,6 +5,7 @@
 #include "netlist/decompose.hpp"
 #include "sat/encode.hpp"
 #include "sat/solver.hpp"
+#include "util/failpoint.hpp"
 #include "util/rng.hpp"
 
 namespace cwatpg::sat {
@@ -35,6 +36,23 @@ Cnf random_cnf(Var vars, std::size_t clauses, std::uint64_t seed) {
     cl.erase(std::unique(cl.begin(), cl.end()), cl.end());
     f.add_clause(cl);
   }
+  return f;
+}
+
+/// PHP(pigeons, holes): unsatisfiable when pigeons > holes, with a search
+/// that learns clauses.
+Cnf pigeonhole(int pigeons, int holes) {
+  Cnf f(static_cast<Var>(pigeons * holes));
+  auto var = [&](int p, int h) { return static_cast<Var>(p * holes + h); };
+  for (int p = 0; p < pigeons; ++p) {
+    Clause c;
+    for (int h = 0; h < holes; ++h) c.push_back(pos(var(p, h)));
+    f.add_clause(c);
+  }
+  for (int h = 0; h < holes; ++h)
+    for (int p1 = 0; p1 < pigeons; ++p1)
+      for (int p2 = p1 + 1; p2 < pigeons; ++p2)
+        f.add_clause({neg(var(p1, h)), neg(var(p2, h))});
   return f;
 }
 
@@ -70,15 +88,7 @@ TEST(Solver, UnitPropagationChain) {
 }
 
 TEST(Solver, PigeonHole3Into2IsUnsat) {
-  // PHP(3,2): pigeon i in hole j -> var 2i+j.
-  Cnf f(6);
-  for (int i = 0; i < 3; ++i)
-    f.add_clause({pos(2 * i), pos(2 * i + 1)});
-  for (int j = 0; j < 2; ++j)
-    for (int i1 = 0; i1 < 3; ++i1)
-      for (int i2 = i1 + 1; i2 < 3; ++i2)
-        f.add_clause({neg(2 * i1 + j), neg(2 * i2 + j)});
-  EXPECT_EQ(solve_cnf(f).status, SolveStatus::kUnsat);
+  EXPECT_EQ(solve_cnf(pigeonhole(3, 2)).status, SolveStatus::kUnsat);
 }
 
 TEST(Solver, ModelSatisfiesFormula) {
@@ -91,18 +101,7 @@ TEST(Solver, ModelSatisfiesFormula) {
 
 TEST(Solver, ConflictLimitReturnsUnknown) {
   // A hard-ish pigeonhole with an absurdly low conflict budget.
-  Cnf f(20);
-  const int holes = 4, pigeons = 5;
-  auto var = [&](int p, int h) { return static_cast<Var>(p * holes + h); };
-  for (int p = 0; p < pigeons; ++p) {
-    Clause c;
-    for (int h = 0; h < holes; ++h) c.push_back(pos(var(p, h)));
-    f.add_clause(c);
-  }
-  for (int h = 0; h < holes; ++h)
-    for (int p1 = 0; p1 < pigeons; ++p1)
-      for (int p2 = p1 + 1; p2 < pigeons; ++p2)
-        f.add_clause({neg(var(p1, h)), neg(var(p2, h))});
+  const Cnf f = pigeonhole(5, 4);
   SolverConfig cfg;
   cfg.max_conflicts = 2;
   EXPECT_EQ(solve_cnf(f, cfg).status, SolveStatus::kUnknown);
@@ -201,6 +200,78 @@ TEST(Solver, RepeatSolveConsistent) {
   const auto first = s.solve();
   const auto second = s.solve();
   EXPECT_EQ(first, second);
+}
+
+/// Satisfiable by the all-true assignment alone, forced by units.
+Cnf all_true(Var vars) {
+  Cnf f(vars);
+  for (Var v = 0; v < vars; ++v) f.add_clause({pos(v)});
+  return f;
+}
+
+/// Loads `f` into `solver` through reset() + add_clause(), solves, and
+/// expects exactly what a fresh Solver built from `f` returns.
+void expect_reload_matches_fresh(Solver& solver, const Cnf& f,
+                                 SolverConfig config = {}) {
+  Solver fresh(f, config);
+  const SolveStatus expected = fresh.solve();
+  solver.reset(f.num_vars(), config);
+  for (const Clause& c : f.clauses()) solver.add_clause(c);
+  EXPECT_EQ(solver.solve(), expected);
+  EXPECT_EQ(solver.model(), fresh.model());
+  EXPECT_EQ(solver.stats(), fresh.stats());
+}
+
+TEST(Solver, ReloadedSolverMatchesAFreshOneOnEveryInstance) {
+  Cnf root_conflict(3);
+  root_conflict.add_clause({pos(0), pos(1)});
+  root_conflict.add_clause({pos(2)});
+  root_conflict.add_clause({neg(2), neg(0)});
+  root_conflict.add_clause({neg(1)});
+  SolverConfig capped;
+  capped.max_conflicts = 3;
+
+  Solver solver;
+  // Instances grow and shrink, so the kept watch lists and per-variable
+  // arrays are reused both above and below their last size. An all-true
+  // model comes before each instance that leaves the model unset.
+  for (std::uint64_t seed = 0; seed < 12; ++seed)
+    expect_reload_matches_fresh(
+        solver, random_cnf(static_cast<Var>(4 + (seed * 7) % 19),
+                           static_cast<std::size_t>(20 + seed * 9), seed));
+  expect_reload_matches_fresh(solver, all_true(40));
+  expect_reload_matches_fresh(solver, pigeonhole(6, 5));
+  expect_reload_matches_fresh(solver, all_true(40));
+  expect_reload_matches_fresh(solver, root_conflict);
+  expect_reload_matches_fresh(solver, random_cnf(16, 60, 101));
+  expect_reload_matches_fresh(solver, all_true(40));
+  expect_reload_matches_fresh(solver, pigeonhole(6, 5), capped);
+  EXPECT_EQ(solver.stats().stop_reason, StopReason::kConflictLimit);
+  expect_reload_matches_fresh(solver, random_cnf(9, 30, 102));
+  expect_reload_matches_fresh(solver, Cnf(0));
+  expect_reload_matches_fresh(solver, pigeonhole(5, 4));
+}
+
+TEST(Solver, ReloadAfterAFailedSolveMatchesAFreshOne) {
+  if (!fp::kEnabled) GTEST_SKIP() << "built with CWATPG_FAILPOINTS=OFF";
+  Solver solver;
+  expect_reload_matches_fresh(solver, all_true(20));
+  const Cnf php = pigeonhole(5, 4);
+  solver.reset(php.num_vars());
+  for (const Clause& c : php.clauses()) solver.add_clause(c);
+  {
+    fp::ScheduleScope fps("sat.solver.alloc=once");
+    EXPECT_THROW(solver.solve(), std::bad_alloc);
+  }
+  expect_reload_matches_fresh(solver, random_cnf(14, 50, 7));
+  expect_reload_matches_fresh(solver, pigeonhole(5, 4));
+}
+
+TEST(Solver, AddClauseRejectsAnOutOfRangeVariable) {
+  Solver solver;
+  solver.reset(2);
+  EXPECT_THROW(solver.add_clause(std::vector<Lit>{pos(0), neg(2)}),
+               std::invalid_argument);
 }
 
 class RandomCnfAgreement : public ::testing::TestWithParam<std::uint64_t> {};

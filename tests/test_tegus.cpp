@@ -174,22 +174,6 @@ TEST(Tegus, RedundantCircuitYieldsUntestables) {
   EXPECT_DOUBLE_EQ(r.fault_efficiency(), 1.0);  // all proven one way
 }
 
-TEST(Tegus, ExtractTestFillsNonSupport) {
-  const net::Network n = net::decompose(gen::ripple_carry_adder(8));
-  // Fault on the low-order full adder: high operand bits are outside the
-  // support and take the fill value.
-  const auto faults = collapsed_fault_list(n);
-  const StuckAtFault f = faults.front();
-  const AtpgCircuit atpg = build_atpg_circuit(n, f);
-  std::vector<bool> model(atpg.miter.node_count(), false);
-  const Pattern zero_fill = extract_test(n, atpg, model, false);
-  const Pattern one_fill = extract_test(n, atpg, model, true);
-  EXPECT_EQ(zero_fill.size(), n.inputs().size());
-  if (atpg.support.size() < n.inputs().size()) {
-    EXPECT_NE(zero_fill, one_fill);
-  }
-}
-
 TEST(Tegus, DeterministicForFixedSeed) {
   const net::Network n = net::decompose(gen::comparator(3));
   const AtpgResult a = run_atpg(n);
