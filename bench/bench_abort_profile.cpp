@@ -27,7 +27,6 @@
 
 #include "bench_common.hpp"
 #include "bench_report.hpp"
-#include "fault/parallel_atpg.hpp"
 #include "fault/tegus.hpp"
 #include "gen/structured.hpp"
 #include "netlist/decompose.hpp"
@@ -45,21 +44,15 @@ fault::AtpgResult run(const net::Network& circuit,
                       const fault::AtpgOptions& base, std::size_t threads,
                       std::uint64_t seed, const std::string& label,
                       std::vector<obs::RunReport>& reports) {
+  fault::AtpgOptions options = base;
+  options.threads = threads;
+  fault::AtpgResult result = fault::run_atpg(circuit, options);
   obs::ReportOptions ropts;
   ropts.label = label;
   ropts.seed = seed;
-  fault::AtpgResult result;
-  fault::ParallelStats pstats;
-  if (threads <= 1) {
-    result = fault::run_atpg(circuit, base);
-  } else {
-    fault::ParallelAtpgOptions popts;
-    popts.base = base;
-    popts.num_threads = threads;
-    result = fault::run_atpg_parallel(circuit, popts, &pstats);
+  if (threads > 1) {
     ropts.engine = "parallel";
     ropts.threads = threads;
-    ropts.parallel = &pstats;
   }
   reports.push_back(obs::build_run_report(circuit, result, ropts));
   return result;

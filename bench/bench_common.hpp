@@ -23,9 +23,9 @@ struct BenchArgs {
   double scale = 0.35;   ///< suite size multiplier
   std::size_t stride = 1;  ///< take every stride-th fault site
   std::uint64_t seed = 99;
-  /// ATPG worker threads: 1 (the default) = serial engine, N > 1 =
-  /// run_atpg_parallel with an N-worker pool (classification is
-  /// byte-identical either way). `--threads=0` means "auto" and is
+  /// ATPG worker threads, AtpgOptions::threads: 1 (the default) = serial
+  /// engine, N > 1 = an N-worker pool (classification is byte-identical
+  /// either way). `--threads=0` means "auto" and is
   /// resolved to hardware concurrency by parse_args via the shared
   /// ThreadPool::resolve_thread_count helper, so benches never see 0.
   std::size_t threads = 1;

@@ -14,7 +14,6 @@
 
 #include "bench_common.hpp"
 #include "bench_report.hpp"
-#include "fault/parallel_atpg.hpp"
 #include "fault/tegus.hpp"
 #include "gen/suites.hpp"
 #include "obs/report.hpp"
@@ -55,22 +54,15 @@ int main(int argc, char** argv) {
       opts.random_blocks = 0;
       opts.drop_by_simulation = false;
       if (incremental) opts.engine = fault::AtpgEngine::kIncremental;
-      fault::AtpgResult r;
-      fault::ParallelStats pstats;
+      opts.threads = args.threads;
+      const fault::AtpgResult r = fault::run_atpg(n, opts);
       obs::ReportOptions ropts;
       ropts.label = name;
       ropts.seed = args.seed;
       ropts.engine = args.engine == "per-fault" ? "serial" : args.engine;
       if (args.threads > 1) {
-        fault::ParallelAtpgOptions popts;
-        popts.base = opts;
-        popts.num_threads = args.threads;
-        r = fault::run_atpg_parallel(n, popts, &pstats);
         ropts.engine = incremental ? "parallel-incremental" : "parallel";
         ropts.threads = args.threads;
-        ropts.parallel = &pstats;
-      } else {
-        r = fault::run_atpg(n, opts);
       }
       reports.push_back(obs::build_run_report(n, r, ropts));
       total_faults += r.outcomes.size();

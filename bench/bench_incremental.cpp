@@ -17,7 +17,6 @@
 #include "bench_common.hpp"
 #include "bench_report.hpp"
 #include "fault/incremental.hpp"
-#include "fault/parallel_atpg.hpp"
 #include "fault/tegus.hpp"
 #include "gen/suites.hpp"
 #include "util/table.hpp"
@@ -77,26 +76,19 @@ int main(int argc, char** argv) {
     opts.random_blocks = 0;
     opts.drop_by_simulation = false;
     opts.engine = engine;
+    opts.threads = args.threads;
     const char* engine_name = fault::to_string(engine);
     Timer timer;
-    fault::AtpgResult r;
+    fault::AtpgResult r = fault::run_atpg(n, opts);
+    wall_ms = timer.millis();
     obs::ReportOptions ropts;
     ropts.label = std::string(engine_name) + "/" + n.name();
     ropts.seed = args.seed;
     ropts.engine = engine_name;
-    fault::ParallelStats pstats;
     if (args.threads > 1) {
-      fault::ParallelAtpgOptions popts;
-      popts.base = opts;
-      popts.num_threads = args.threads;
-      r = fault::run_atpg_parallel(n, popts, &pstats);
       ropts.engine = std::string("parallel-") + engine_name;
       ropts.threads = args.threads;
-      ropts.parallel = &pstats;
-    } else {
-      r = fault::run_atpg(n, opts);
     }
-    wall_ms = timer.millis();
     reports.push_back(obs::build_run_report(n, r, ropts));
     return r;
   };

@@ -1,27 +1,27 @@
 // Fault-parallel TEGUS scaling: wall-clock speedup at 1/2/4/8 workers.
 //
-// Runs the serial engine and run_atpg_parallel on the largest member of
-// the ISCAS85-like suite in two configurations:
+// Runs run_atpg at AtpgOptions::threads 1, 2, 4 and 8 against a serial
+// reference run on the largest member of the ISCAS85-like suite, in two
+// configurations:
 //   * figure-1 config (no random phase, no dropping): one independent SAT
 //     instance per fault — the embarrassingly-parallel upper bound;
 //   * dropping config (no random phase, simulation-based dropping on):
 //     the speculative engine's hard shape, where the commit frontier and
 //     fault dropping bound the achievable overlap.
-// Every parallel run is checked byte-identical to the serial one (same
-// statuses, same test_index attribution, same test patterns) — the
-// determinism contract of fault/parallel_atpg.hpp — before any speedup is
-// reported; the --json report records the verdict as extra.identical, and
-// the binary exits 1 when any run diverged. Expect near-linear scaling in
-// the figure-1 config up to the physical core count and a visibly flatter
-// curve beyond it; a machine with fewer cores than workers cannot speed
-// up past its core count.
+// Every run is checked byte-identical to the serial one (same statuses,
+// same test_index attribution, same test patterns) — run_atpg's
+// determinism contract — before any speedup is reported; the --json
+// report records the verdict as extra.identical, and the binary exits 1
+// when any run diverged. Expect near-linear scaling in the figure-1
+// config up to the physical core count and a visibly flatter curve beyond
+// it; a machine with fewer cores than workers cannot speed up past its
+// core count.
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "bench_report.hpp"
-#include "fault/parallel_atpg.hpp"
 #include "fault/tegus.hpp"
 #include "gen/suites.hpp"
 #include "obs/report.hpp"
@@ -54,7 +54,7 @@ bool byte_identical(const fault::AtpgResult& a, const fault::AtpgResult& b) {
 }
 
 /// Returns false when a requested --csv= artifact could not be written.
-/// Clears `identical` when a parallel run diverges from the serial one.
+/// Clears `identical` when a threaded run diverges from the serial one.
 bool run_config(const net::Network& circuit, const fault::AtpgOptions& base,
                 const char* label, const std::string& csv,
                 std::uint64_t seed, std::vector<obs::RunReport>& reports,
@@ -75,38 +75,37 @@ bool run_config(const net::Network& circuit, const fault::AtpgOptions& base,
             << cell(serial_s, 3) << " s\n";
 
   Table table({"threads", "seconds", "speedup", "efficiency", "dispatched",
-               "wasted", "identical"});
+               "wasted", "solves run", "identical"});
   std::vector<double> xs, ys;
   for (std::size_t threads : {1, 2, 4, 8}) {
-    fault::ParallelAtpgOptions popts;
-    popts.base = base;
-    popts.num_threads = threads;
-    fault::ParallelStats stats;
+    fault::AtpgOptions options = base;
+    options.threads = threads;
     Timer timer;
-    const fault::AtpgResult parallel =
-        fault::run_atpg_parallel(circuit, popts, &stats);
+    const fault::AtpgResult threaded = fault::run_atpg(circuit, options);
     const double secs = timer.seconds();
-    const bool same = byte_identical(serial, parallel);
+    const fault::ParallelStats& stats = threaded.parallel;
+    std::size_t solves_run = 0;
+    for (const fault::WorkerStats& w : stats.workers) solves_run += w.solved;
+    const bool same = byte_identical(serial, threaded);
     identical = identical && same;
     const double speedup = secs > 0 ? serial_s / secs : 0.0;
     {
       obs::ReportOptions ropts;
       ropts.label =
           std::string(label) + "/threads=" + std::to_string(threads);
-      ropts.engine = "parallel";
+      ropts.engine = threads > 1 ? "parallel" : "serial";
       ropts.threads = threads;
       ropts.seed = seed;
-      ropts.parallel = &stats;
-      reports.push_back(obs::build_run_report(circuit, parallel, ropts));
+      reports.push_back(obs::build_run_report(circuit, threaded, ropts));
     }
     table.add_row({cell(threads), cell(secs, 3), cell(speedup, 2),
                    cell(speedup / static_cast<double>(threads), 2),
                    cell(stats.dispatched), cell(stats.wasted),
-                   same ? "yes" : "NO"});
+                   cell(solves_run), same ? "yes" : "NO"});
     xs.push_back(static_cast<double>(threads));
     ys.push_back(speedup);
     if (!same)
-      std::cout << "ERROR: parallel run at " << threads
+      std::cout << "ERROR: the run at " << threads
                 << " threads diverged from the serial classification\n";
   }
   table.print(std::cout);

@@ -13,8 +13,8 @@
 //   3. build_run_report() folds the AtpgResult into the one JSON schema
 //      ("cwatpg.run_report/1") every bench binary also emits via --json.
 //
-// The same hooks work on run_atpg_parallel — pass them in
-// ParallelAtpgOptions::base and the registry merges across workers.
+// The same hooks work at any AtpgOptions::threads: the registry merges
+// across pool workers, and the run report carries the scheduling counters.
 #include <iostream>
 #include <sstream>
 #include <string>

@@ -2,16 +2,17 @@
 //
 //   $ ./parallel_atpg [threads]
 //
-// Runs the production TEGUS flow serially and then fault-parallel on a
-// FIFO thread pool (default: one worker per hardware thread), shows the
-// wall-clock difference, and proves the headline guarantee of
-// fault/parallel_atpg.hpp on the spot: the parallel result is
-// byte-identical to the serial one — same per-fault classification, same
-// test patterns — no matter how the workers interleave.
+// Runs the production TEGUS flow serially and then fault-parallel, with
+// AtpgOptions::threads set (default: one worker per hardware thread),
+// shows the wall-clock difference, and proves run_atpg's headline
+// guarantee on the spot: the parallel result is byte-identical to the
+// serial one — same per-fault classification, same test patterns — no
+// matter how the workers interleave. Exits 1 if it is not.
 #include <cstdlib>
 #include <iostream>
+#include <string>
 
-#include "fault/parallel_atpg.hpp"
+#include "fault/tegus.hpp"
 #include "gen/structured.hpp"
 #include "netlist/decompose.hpp"
 #include "util/table.hpp"
@@ -32,19 +33,19 @@ int main(int argc, char** argv) {
   const fault::AtpgResult serial = fault::run_atpg(circuit);
   const double serial_s = serial_timer.seconds();
 
-  fault::ParallelAtpgOptions options;
-  options.num_threads = threads;
-  fault::ParallelStats stats;
+  fault::AtpgOptions options;
+  options.threads = threads;
   Timer parallel_timer;
-  const fault::AtpgResult parallel =
-      fault::run_atpg_parallel(circuit, options, &stats);
+  const fault::AtpgResult parallel = fault::run_atpg(circuit, options);
   const double parallel_s = parallel_timer.seconds();
+  const fault::ParallelStats& stats = parallel.parallel;
 
   Table table({"engine", "seconds", "coverage %", "patterns"});
   table.add_row({"serial run_atpg", cell(serial_s, 3),
                  cell(serial.fault_coverage() * 100, 2),
                  cell(serial.tests.size())});
-  table.add_row({"run_atpg_parallel", cell(parallel_s, 3),
+  table.add_row({"run_atpg, threads=" + std::to_string(threads),
+                 cell(parallel_s, 3),
                  cell(parallel.fault_coverage() * 100, 2),
                  cell(parallel.tests.size())});
   table.print(std::cout);

@@ -7,8 +7,23 @@
 
 namespace cwatpg::fault {
 
+namespace {
+
+/// A stem fault on a kOutput marker sticks the output's observed value,
+/// exactly as the branch fault on the marker's pin 0 does, so both
+/// instance builders build that branch fault's instance.
+StuckAtFault instance_fault(const net::Network& netw, StuckAtFault fault) {
+  if (fault.is_stem() && fault.node < netw.node_count() &&
+      netw.type(fault.node) == net::GateType::kOutput)
+    fault.pin = 0;
+  return fault;
+}
+
+}  // namespace
+
 AtpgCircuit build_atpg_circuit(const net::Network& netw,
-                               const StuckAtFault& fault) {
+                               const StuckAtFault& requested) {
+  const StuckAtFault fault = instance_fault(netw, requested);
   if (fault.node >= netw.node_count())
     throw std::invalid_argument("build_atpg_circuit: no such node");
   if (!fault.is_stem()) {
@@ -144,8 +159,10 @@ void AtpgEmitter::add_gate(ClauseSink& sink, net::GateType type, sat::Var z) {
 }
 
 std::optional<AtpgEmitter::Instance> AtpgEmitter::emit(
-    const net::Network& netw, const StuckAtFault& fault, ClauseSink& sink) {
+    const net::Network& netw, const StuckAtFault& requested,
+    ClauseSink& sink) {
   using net::GateType;
+  const StuckAtFault fault = instance_fault(netw, requested);
   const std::size_t n = netw.node_count();
   if (fault.node >= n) return std::nullopt;
   const net::NodeId root = fault_cone_root(fault);
@@ -211,9 +228,6 @@ std::optional<AtpgEmitter::Instance> AtpgEmitter::emit(
   }
   // A kOutput marker is in the cone exactly when it is in the fanout cone.
   if (num_outputs == 0) return std::nullopt;
-  if (stem && netw.type(root) == GateType::kOutput)
-    throw std::invalid_argument(
-        "AtpgEmitter: a stem fault on an output marker has no good net");
   sat::Var stuck_const = sat::kNullVar;
   for (const net::NodeId v : cone_) {
     if (!in_tfo(v) || netw.type(v) == GateType::kOutput) continue;

@@ -55,6 +55,8 @@ struct AtpgCircuit {
 
 /// Builds C_psi^ATPG. Throws std::invalid_argument when the fault site
 /// reaches no primary output (trivially untestable, as in net::fault_cone).
+/// A stem fault on a kOutput marker is built as the equivalent branch
+/// fault on the marker's pin 0 (AtpgCircuit::fault is that branch fault).
 ///
 /// Thread-safe: yes; reads `net` (immutable after construction) and builds
 /// a fresh AtpgCircuit per call. The returned AtpgCircuit itself is a
@@ -94,7 +96,9 @@ class AtpgEmitter {
 
   /// Emits the instance into `sink`. Returns nullopt, emitting nothing,
   /// where build_atpg_circuit throws std::invalid_argument: no such node
-  /// or pin, or a site that reaches no primary output.
+  /// or pin, or a site that reaches no primary output. A stem fault on a
+  /// kOutput marker gets its pin-0 branch fault's instance, as in
+  /// build_atpg_circuit.
   std::optional<Instance> emit(const net::Network& net,
                                const StuckAtFault& fault, ClauseSink& sink);
 

@@ -467,7 +467,7 @@ FaultOutcome IncrementalProvider::query(std::size_t fault_index,
   return outcome;
 }
 
-void IncrementalProvider::finalize() {
+void IncrementalProvider::end() {
   if (options_.metrics == nullptr) return;
   obs::MetricsRegistry& m = *options_.metrics;
   m.counter(options_.prebuilt_miter != nullptr ? "incremental.prebuilt_hits"

@@ -185,11 +185,11 @@ std::vector<IncrementalOutcome> run_atpg_incremental(
 
 namespace detail {
 
-/// The incremental SolveProvider of both engines: adopts or builds the
-/// encoding, precomputes which faults reach an output, and runs per-fault
-/// queries with the in-miter conflict-cap retry rung. One session answers
-/// every query, in work-list order, on the pipeline thread — in run_atpg
-/// and in run_atpg_parallel alike, whose pool then only shards the random
+/// run_atpg's incremental SolveProvider: adopts or builds the encoding,
+/// precomputes which faults reach an output, and runs per-fault queries
+/// with the in-miter conflict-cap retry rung. One session answers every
+/// query, in work-list order, on the pipeline thread at any
+/// AtpgOptions::threads; a pool, when there is one, only shards the random
 /// phase's fault simulation.
 ///
 /// Determinism contract: the session queries every work-list position in
@@ -208,9 +208,8 @@ class IncrementalProvider final : public SolveProvider {
              const std::vector<bool>& dropped) override;
   FaultOutcome solve(std::size_t fault_index, Pattern& test_out) override;
 
-  /// Records the run's incremental.* metrics. Call once after the
-  /// pipeline returns.
-  void finalize();
+  /// Records the run's incremental.* metrics.
+  void end() override;
 
  private:
   /// The incremental counterpart of generate_test: one fault, production

@@ -1,7 +1,15 @@
 #include "fault/tegus.hpp"
 
+#include <atomic>
+#include <cassert>
+#include <condition_variable>
+#include <deque>
+#include <exception>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "fault/incremental.hpp"
 #include "fault/obs_hooks.hpp"
@@ -9,6 +17,7 @@
 #include "obs/trace.hpp"
 #include "util/budget.hpp"
 #include "util/rng.hpp"
+#include "util/threadpool.hpp"
 #include "util/timer.hpp"
 
 namespace cwatpg::fault {
@@ -471,6 +480,7 @@ AtpgResult run_atpg_pipeline(const net::Network& netw,
         undetected, idx, FaultStatus::kUndetermined, std::move(test));
     if (c_sim_dropped != nullptr) c_sim_dropped->add(num_dropped);
   }
+  provider.end();
 
   sat_span.finish();
 
@@ -521,28 +531,249 @@ class SerialProvider final : public detail::SolveProvider {
   std::span<const StuckAtFault> faults_;
 };
 
+/// Speculation window per pool worker: in-flight solves beyond the commit
+/// frontier. Larger hides commit latency; smaller bounds wasted solves
+/// when fault dropping is hot.
+constexpr std::size_t kLookahead = 4;
+/// Minimum faults per shard when fault simulation runs on the pool (the
+/// multi-pattern random phase); single-pattern commit simulations stay on
+/// the pipeline thread, where they are cheaper than a dispatch.
+constexpr std::size_t kSimGrain = 512;
+
+/// One speculative solve a pool worker hands to the pipeline thread. One
+/// worker calls run() once; the pipeline thread calls take() at most once,
+/// and never on a slot it abandoned.
+class SolveSlot {
+ public:
+  /// Pipeline side: nobody will take() this slot. A worker that has not
+  /// started it yet skips the solve.
+  void abandon() { abandoned_ = true; }
+
+  /// Worker side: unless abandoned, runs generate_test, keeping what it
+  /// throws for take(), books the solve in the calling worker's entry of
+  /// `stats.workers` (only ever touched by that worker, so unlocked) and
+  /// publishes it.
+  void run(const net::Network& netw, const StuckAtFault& fault,
+           const sat::SolverConfig& config, ParallelStats& stats) {
+    if (abandoned_) return;
+    FaultOutcome outcome;
+    Pattern test;
+    std::exception_ptr error;
+    try {
+      outcome = generate_test(netw, fault, config, test);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    const std::size_t w = ThreadPool::worker_index();
+    if (w != ThreadPool::kNotAWorker && w < stats.workers.size()) {
+      WorkerStats& ws = stats.workers[w];
+      ++ws.solved;
+      ws.solve_seconds += outcome.solve_seconds;
+      ws.solver += outcome.solver_stats;
+    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    outcome_ = outcome;
+    test_ = std::move(test);
+    error_ = error;
+    done_ = true;
+    cv_.notify_one();
+  }
+
+  /// Pipeline side: blocks until published and counts the solve committed
+  /// in `stats`; then rethrows the worker's exception, or hands over the
+  /// test and returns the outcome.
+  FaultOutcome take(Pattern& test_out, ParallelStats& stats) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [&] { return done_; });
+    ++stats.committed;
+    if (error_) std::rethrow_exception(error_);
+    test_out = std::move(test_);
+    return outcome_;
+  }
+
+ private:
+  std::atomic<bool> abandoned_{false};
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool done_ = false;  ///< guarded by mutex_, like the three below
+  FaultOutcome outcome_;
+  Pattern test_;
+  std::exception_ptr error_;
+};
+
+/// The pool-backed strategy.
+///
+/// The pipeline thread (the only caller of solve()) keeps a window of up
+/// to `window_` solves in flight ahead of the commit frontier. Faults are
+/// dispatched in work-list order — and the pool's FIFO queue starts them
+/// in that order, so the solve the frontier waits on is never queued
+/// behind a later one — skipping any already dropped at dispatch time.
+/// Because the dropped bitmap is monotone and written only by the pipeline
+/// thread, a fault observed dropped will never be requested: its slot is
+/// abandoned at once (a worker that has not started it skips it) and
+/// counted as waste when the frontier passes it. The shared_ptr keeps an
+/// abandoned slot alive until its pool task returns.
+class SpeculativeProvider final : public detail::SolveProvider {
+ public:
+  SpeculativeProvider(ThreadPool& pool, const sat::SolverConfig& config,
+                      ParallelStats& stats)
+      : pool_(pool),
+        config_(config),
+        window_(kLookahead * pool.size()),
+        stats_(stats) {}
+
+  void begin(const net::Network& netw, std::span<const StuckAtFault> faults,
+             std::span<const std::size_t> work_list,
+             const std::vector<bool>& dropped) override {
+    netw_ = &netw;
+    faults_ = faults;
+    work_list_ = work_list;
+    dropped_ = &dropped;
+    cursor_ = 0;
+  }
+
+  FaultOutcome solve(std::size_t fault_index, Pattern& test_out) override {
+    // The last commit may have dropped faults already in flight.
+    for (const InFlight& f : in_flight_)
+      if ((*dropped_)[f.fault]) f.slot->abandon();
+    // The pipeline commits in work-list order, so anything in flight
+    // ahead of `fault_index` was dropped and will never be requested.
+    while (!in_flight_.empty() && in_flight_.front().fault != fault_index) {
+      ++stats_.wasted;
+      in_flight_.pop_front();
+    }
+    top_up();
+    assert(!in_flight_.empty() && in_flight_.front().fault == fault_index &&
+           "pipeline requested a fault outside dispatch order");
+    const std::shared_ptr<SolveSlot> slot = in_flight_.front().slot;
+    in_flight_.pop_front();
+    top_up();  // keep workers fed while we block on this slot
+    return slot->take(test_out, stats_);
+  }
+
+  /// Phase 2 is over: nothing still in flight will be requested.
+  void end() override {
+    for (const InFlight& f : in_flight_) f.slot->abandon();
+    stats_.wasted += in_flight_.size();
+    in_flight_.clear();
+  }
+
+ private:
+  struct InFlight {
+    std::size_t fault;
+    std::shared_ptr<SolveSlot> slot;
+  };
+
+  /// Dispatches work-list entries (skipping currently-dropped faults)
+  /// until the speculation window is full or the list is exhausted.
+  void top_up() {
+    while (in_flight_.size() < window_ && cursor_ < work_list_.size()) {
+      const std::size_t fi = work_list_[cursor_++];
+      if ((*dropped_)[fi]) continue;  // monotone: will never be requested
+      auto slot = std::make_shared<SolveSlot>();
+      in_flight_.push_back({fi, slot});
+      ++stats_.dispatched;
+      if (in_flight_.size() > stats_.max_in_flight)
+        stats_.max_in_flight = in_flight_.size();
+      pool_.submit([slot, fault = faults_[fi], netw = netw_, config = config_,
+                    stats = &stats_] {
+        slot->run(*netw, fault, config, *stats);
+      });
+    }
+  }
+
+  ThreadPool& pool_;
+  sat::SolverConfig config_;
+  std::size_t window_;
+  ParallelStats& stats_;
+
+  const net::Network* netw_ = nullptr;
+  std::span<const StuckAtFault> faults_;
+  std::span<const std::size_t> work_list_;
+  const std::vector<bool>* dropped_ = nullptr;
+  std::size_t cursor_ = 0;
+  std::deque<InFlight> in_flight_;
+};
+
 }  // namespace
 
 AtpgResult run_atpg(const net::Network& netw, const AtpgOptions& options) {
+  // `stats` is declared before `pool` deliberately: if the pipeline throws,
+  // in-flight worker tasks still write into `stats`, so the pool (whose
+  // destructor drains and joins them) must be destroyed first.
+  ParallelStats stats;
+  std::optional<ThreadPool> pool;
+  if (options.threads > 1) {
+    pool.emplace(options.threads);
+    stats.workers.resize(pool->size());
+  }
+
+  // With a pool, the random phase's multi-pattern simulation is sharded
+  // across it; single-pattern commit simulations stay on the pipeline
+  // thread, where they are cheaper than a round-trip dispatch. Per-fault
+  // detection is independent of sharding, so results equal
+  // fault_simulate's exactly.
   const detail::FsimMetrics fsim_metrics(options.metrics);
-  const auto simulate = [&netw, &fsim_metrics](
-                            std::span<const StuckAtFault> faults,
-                            std::span<const Pattern> patterns) {
-    FsimStats stats;
+  const auto simulate_range = [&netw, &fsim_metrics](
+                                  std::span<const StuckAtFault> faults,
+                                  std::span<const Pattern> patterns) {
+    // Counter handles are atomic, so shard tasks may record concurrently.
+    FsimStats fs;
     std::vector<bool> detected = fault_simulate(
-        netw, faults, patterns, fsim_metrics.enabled() ? &stats : nullptr);
-    fsim_metrics.record(stats);
+        netw, faults, patterns, fsim_metrics.enabled() ? &fs : nullptr);
+    fsim_metrics.record(fs);
     return detected;
   };
-  if (options.engine == AtpgEngine::kIncremental) {
-    detail::IncrementalProvider provider(options);
-    AtpgResult result =
-        detail::run_atpg_pipeline(netw, options, provider, simulate);
-    provider.finalize();
-    return result;
+  const detail::SimulateFn simulate =
+      [&pool, &simulate_range](std::span<const StuckAtFault> faults,
+                               std::span<const Pattern> patterns) {
+        if (!pool || patterns.size() < 64 || faults.size() < 2 * kSimGrain)
+          return simulate_range(faults, patterns);
+        std::vector<bool> detected(faults.size(), false);
+        const std::size_t chunks = (faults.size() + kSimGrain - 1) / kSimGrain;
+        std::vector<std::vector<bool>> shard(chunks);
+        pool->parallel_for(0, faults.size(), kSimGrain,
+                           [&](std::size_t lo, std::size_t hi) {
+                             shard[lo / kSimGrain] = simulate_range(
+                                 faults.subspan(lo, hi - lo), patterns);
+                           });
+        for (std::size_t c = 0; c < chunks; ++c)
+          for (std::size_t k = 0; k < shard[c].size(); ++k)
+            if (shard[c][k]) detected[c * kSimGrain + k] = true;
+        return detected;
+      };
+
+  // The incremental engine keeps its one session on this thread at any
+  // thread count. per_fault_solver_config threads the run budget into
+  // every solve, on this thread or a worker: when the deadline fires or
+  // the caller cancels, in-flight solves observe it at their next poll and
+  // queued ones fast-fail, so the pool is never torn down mid-task and the
+  // committed prefix stays deterministic.
+  std::unique_ptr<detail::SolveProvider> provider;
+  if (options.engine == AtpgEngine::kIncremental)
+    provider = std::make_unique<detail::IncrementalProvider>(options);
+  else if (pool)
+    provider = std::make_unique<SpeculativeProvider>(
+        *pool, detail::per_fault_solver_config(options), stats);
+  else
+    provider = std::make_unique<SerialProvider>(
+        detail::per_fault_solver_config(options));
+  AtpgResult result =
+      detail::run_atpg_pipeline(netw, options, *provider, simulate);
+  if (!pool) return result;
+
+  pool->wait_idle();  // solves that started before they were abandoned
+  if (options.metrics != nullptr) {
+    obs::MetricsRegistry& m = *options.metrics;
+    m.counter("parallel.dispatched").add(stats.dispatched);
+    m.counter("parallel.committed").add(stats.committed);
+    m.counter("parallel.wasted").add(stats.wasted);
+    m.gauge("parallel.max_in_flight")
+        .max_in(static_cast<double>(stats.max_in_flight));
+    m.gauge("parallel.workers").max_in(static_cast<double>(pool->size()));
   }
-  SerialProvider provider(detail::per_fault_solver_config(options));
-  return detail::run_atpg_pipeline(netw, options, provider, simulate);
+  result.parallel = std::move(stats);
+  return result;
 }
 
 }  // namespace cwatpg::fault

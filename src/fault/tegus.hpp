@@ -10,6 +10,11 @@
 // the still-open faults after it: the pass verifies the test and drops
 // every fault it detects.
 //
+// AtpgOptions::threads > 1 runs the same flow fault-parallel: a FIFO pool
+// (util/threadpool.hpp) solves work-list faults speculatively ahead of the
+// commit frontier while the calling thread commits them in serial order,
+// so the result is byte-identical at any thread count.
+//
 // The engine records, per SAT instance, the variable count and the solve
 // time — exactly the two axes of the paper's Figure 1 scatter.
 #pragma once
@@ -64,11 +69,11 @@ const char* to_string(FaultStatus status);
 /// stability contract.
 const char* to_string(SolveEngine engine);
 
-/// Which phase-2 solve strategy run_atpg / run_atpg_parallel plug into the
-/// pipeline. Classification is engine-independent (same Detected /
-/// Untestable sets); what changes is how the work is done — one fresh CNF
-/// per fault vs. incremental queries against one shared miter — and
-/// therefore the per-fault stats, test patterns and wall-clock.
+/// Which phase-2 solve strategy run_atpg plugs into the pipeline.
+/// Classification is engine-independent (same Detected / Untestable
+/// sets); what changes is how the work is done — one fresh CNF per fault
+/// vs. incremental queries against one shared miter — and therefore the
+/// per-fault stats, test patterns and wall-clock.
 enum class AtpgEngine : std::uint8_t {
   kPerFault,     ///< fresh miter + CNF + solver per fault (TEGUS proper)
   kIncremental,  ///< shared select-instrumented miter, assumption queries
@@ -135,8 +140,8 @@ struct AtpgOptions {
   /// AtpgResult with `interrupted` set: every fault processed before the
   /// cutoff keeps its classification, every unreached fault stays
   /// kUndetermined, and the counters match the outcomes. The same pointer
-  /// is threaded into every per-fault CDCL solve (and honored by
-  /// run_atpg_parallel's in-flight workers), so even a single oversized
+  /// is threaded into every per-fault CDCL solve (and honored by the pool's
+  /// in-flight solves when threads > 1), so even a single oversized
   /// instance cannot hold the run past its deadline for long.
   const Budget* budget = nullptr;
 
@@ -172,6 +177,14 @@ struct AtpgOptions {
   /// incremental abort gets one in-miter retry with a grown cap, then
   /// falls back to the fresh-CNF rounds and PODEM like any other abort.
   AtpgEngine engine = AtpgEngine::kPerFault;
+  /// Worker threads. 1 or less runs the serial engine on the calling
+  /// thread, with no pool. N > 1 builds a private N-worker pool for the
+  /// run: per-fault solves run speculatively ahead of the commit frontier
+  /// (kIncremental keeps its one session on the calling thread) and the
+  /// random phase's fault simulation is sharded. A pure scheduling choice:
+  /// the result is byte-identical at any value, except for wall-clock
+  /// fields and AtpgResult::parallel.
+  std::size_t threads = 1;
   /// Optional prebuilt shared-miter encoding (kIncremental only) — how the
   /// service reuses one encoding per circuit, built by the first
   /// incremental job on it, instead of re-encoding per job. Must have
@@ -189,6 +202,30 @@ struct AtpgOptions {
   /// identical with hooks on, off, or any mix.
   obs::MetricsRegistry* metrics = nullptr;
   obs::EventSink* trace = nullptr;
+};
+
+/// What one pool worker did during a run with threads > 1.
+struct WorkerStats {
+  std::size_t solved = 0;        ///< SAT instances this worker completed
+  double solve_seconds = 0.0;    ///< sum of per-instance solve times
+  sat::SolverStats solver;       ///< aggregated CDCL counters
+};
+
+/// Scheduling telemetry of a run with threads > 1; all zero (and no
+/// workers) for a serial run. Solves the pool ran but whose faults were
+/// dropped first are counted in the workers, not in the outcomes: the
+/// solves that actually ran are the sum of workers[].solved. An
+/// engine=incremental run solves on the calling thread, so its counters
+/// and per-worker entries stay 0 (its incremental.* metrics count the
+/// queries).
+struct ParallelStats {
+  std::vector<WorkerStats> workers;  ///< one entry per pool worker
+  std::size_t dispatched = 0;  ///< speculative solves handed to the pool
+  std::size_t committed = 0;   ///< solves whose outcome entered the result
+  /// Dispatched solves discarded because their fault was dropped first. A
+  /// worker skips a discarded solve it has not started yet.
+  std::size_t wasted = 0;
+  std::size_t max_in_flight = 0;  ///< peak speculative solves in flight
 };
 
 struct AtpgResult {
@@ -210,6 +247,9 @@ struct AtpgResult {
   /// Whole-run wall-clock, stamped by the pipeline on return — what
   /// obs::build_run_report() uses unless the caller timed the run itself.
   double wall_seconds = 0.0;
+  /// Scheduling telemetry, like wall_seconds not part of the
+  /// classification: all zero unless AtpgOptions::threads > 1.
+  ParallelStats parallel;
 
   /// Sets num_detected, num_untestable, num_aborted, num_unreachable and
   /// num_undetermined from `outcomes` in one pass: the pipeline's only
@@ -222,12 +262,21 @@ struct AtpgResult {
   double fault_coverage() const;
 };
 
-/// Runs the full ATPG flow on `net`.
+/// Runs the full ATPG flow on `net`, on options.threads threads.
+///
+/// With threads > 1 every FaultOutcome status, test_index, sat_vars /
+/// sat_clauses and solver_stats, and every Pattern in AtpgResult::tests,
+/// match the one-thread run bit for bit (solve_seconds, being wall-clock,
+/// differs), because generate_test is a pure function of (net, fault,
+/// solver config), commits happen in serial order, and the random phase
+/// uses the serial RNG stream untouched. A budget that fires reaches every
+/// in-flight solve through its polls; the run then returns the committed
+/// prefix, exactly as the serial engine does. The pool is drained before
+/// the call returns.
 ///
 /// Thread-safe: yes for concurrent calls on distinct (or even the same)
-/// `net` — the flow allocates all mutable state locally and Network is
-/// immutable after construction. For a multithreaded flow over ONE fault
-/// list see fault/parallel_atpg.hpp, which produces byte-identical results.
+/// `net` — the flow allocates all mutable state locally (each call owns
+/// its pool) and Network is immutable after construction.
 AtpgResult run_atpg(const net::Network& net, const AtpgOptions& options = {});
 
 /// Generates a test for a single fault (no dropping, no random phase).
@@ -237,20 +286,20 @@ AtpgResult run_atpg(const net::Network& net, const AtpgOptions& options = {});
 /// excitation unit, emitted from the fault's cone straight into a CDCL
 /// solver. FaultOutcome::solve_seconds times the search alone.
 ///
-/// Thread-safe: yes; this is the per-fault kernel the parallel engine runs
-/// concurrently on pool workers. Each thread keeps one emitter and one
-/// solver (a function-local thread_local) and reloads them per call; a
-/// reloaded solver searches exactly as a fresh one, so the outcome is a
-/// pure function of (net, fault, solver) and concurrent and serial
-/// invocations return bit-identical results.
+/// Thread-safe: yes; this is the per-fault kernel run_atpg runs
+/// concurrently on pool workers when threads > 1. Each thread keeps one
+/// emitter and one solver (a function-local thread_local) and reloads them
+/// per call; a reloaded solver searches exactly as a fresh one, so the
+/// outcome is a pure function of (net, fault, solver) and concurrent and
+/// serial invocations return bit-identical results.
 FaultOutcome generate_test(const net::Network& net, const StuckAtFault& fault,
                            const sat::SolverConfig& solver, Pattern& test_out);
 
 namespace detail {
 
 /// Phase-2 solve strategy plugged into the shared TEGUS pipeline skeleton.
-/// run_atpg uses a trivial on-demand strategy; run_atpg_parallel plugs in a
-/// speculative pool-backed one. The contract that keeps every strategy
+/// run_atpg plugs in an on-demand strategy at one thread and a speculative
+/// pool-backed one at more. The contract that keeps every strategy
 /// byte-identical to the serial engine:
 ///
 ///   * begin() is called once, after the random phase, with the collapsed
@@ -268,6 +317,8 @@ namespace detail {
 ///   * solve() must return exactly what generate_test() returns for that
 ///     fault — strategies may reorder or overlap *computation*, never
 ///     change per-fault results.
+///   * end() is called once after phase 2's last solve() call, also when
+///     the budget cut phase 2 short, and before the escalation ladder.
 class SolveProvider {
  public:
   virtual ~SolveProvider() = default;
@@ -281,6 +332,9 @@ class SolveProvider {
     (void)dropped;
   }
   virtual FaultOutcome solve(std::size_t fault_index, Pattern& test_out) = 0;
+  /// No further solve() call follows: a speculative strategy abandons
+  /// what it still has in flight, an instrumented one records its totals.
+  virtual void end() {}
 
   /// Phase-3 hook: consulted once per still-kAborted fault, in fault
   /// order, BEFORE the built-in escalation ladder. Returning an outcome
@@ -307,13 +361,13 @@ class SolveProvider {
 sat::SolverConfig per_fault_solver_config(const AtpgOptions& options);
 
 /// Fault-simulation hook: same signature/semantics as fault_simulate with
-/// the network bound. The parallel engine substitutes a sharded version;
-/// results must equal fault_simulate's (per-fault detection is independent,
-/// so sharding cannot change them).
+/// the network bound. With threads > 1, run_atpg shards the random phase's
+/// simulation across its pool; results must equal fault_simulate's
+/// (per-fault detection is independent, so sharding cannot change them).
 using SimulateFn = std::function<std::vector<bool>(
     std::span<const StuckAtFault>, std::span<const Pattern>)>;
 
-/// The TEGUS skeleton shared by run_atpg and run_atpg_parallel: collapse,
+/// The TEGUS skeleton run_atpg drives at any thread count: collapse,
 /// random phase (seeded from options.seed), then per-fault solves through
 /// `provider`, then the escalation ladder. Every test found is committed
 /// through `simulate` exactly once, with its own fault first in the fault

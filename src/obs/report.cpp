@@ -25,8 +25,9 @@ constexpr fault::SolveEngine kAllEngines[] = {
     fault::SolveEngine::kIncremental,
 };
 constexpr StopReason kAllStopReasons[] = {
-    StopReason::kNone,     StopReason::kConflictLimit,
-    StopReason::kPropagationLimit, StopReason::kDeadline,
+    StopReason::kNone,
+    StopReason::kConflictLimit,
+    StopReason::kDeadline,
     StopReason::kCancelled,
 };
 
@@ -91,22 +92,20 @@ RunReport build_run_report(const net::Network& net,
   report.wall_seconds =
       options.wall_seconds >= 0 ? options.wall_seconds : result.wall_seconds;
 
-  if (options.parallel != nullptr) {
-    const fault::ParallelStats& ps = *options.parallel;
-    report.dispatched = ps.dispatched;
-    report.committed = ps.committed;
-    report.wasted = ps.wasted;
-    report.max_in_flight = ps.max_in_flight;
-    report.workers.reserve(ps.workers.size());
-    for (const fault::WorkerStats& w : ps.workers) {
-      WorkerReport wr;
-      wr.solved = w.solved;
-      wr.solve_seconds = w.solve_seconds;
-      report.workers.push_back(wr);
-    }
-    if (report.threads <= 1 && !ps.workers.empty())
-      report.threads = ps.workers.size();
+  const fault::ParallelStats& ps = result.parallel;
+  report.dispatched = ps.dispatched;
+  report.committed = ps.committed;
+  report.wasted = ps.wasted;
+  report.max_in_flight = ps.max_in_flight;
+  report.workers.reserve(ps.workers.size());
+  for (const fault::WorkerStats& w : ps.workers) {
+    WorkerReport wr;
+    wr.solved = w.solved;
+    wr.solve_seconds = w.solve_seconds;
+    report.workers.push_back(wr);
   }
+  if (report.threads <= 1 && !ps.workers.empty())
+    report.threads = ps.workers.size();
   if (options.metrics != nullptr) report.metrics = *options.metrics;
   return report;
 }

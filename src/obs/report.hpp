@@ -1,7 +1,7 @@
 // Canonical JSON run reports.
 //
 // One schema — "cwatpg.run_report/1" — for every ATPG run this repo
-// performs, whether it came from run_atpg, run_atpg_parallel, an example,
+// performs, whether it came from run_atpg at any thread count, an example,
 // or a bench binary. A RunReport captures what the run was (circuit,
 // engine, threads, seed), what it produced (fault classification counts,
 // coverage, tests), and what it cost (aggregated SolverStats, StopReason
@@ -24,7 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "fault/parallel_atpg.hpp"
 #include "fault/tegus.hpp"
 #include "netlist/network.hpp"
 #include "obs/json.hpp"
@@ -74,7 +73,7 @@ struct RunReport {
   double solve_seconds = 0.0;       ///< sum of per-fault solve wall-clock
   double wall_seconds = 0.0;        ///< whole-run wall-clock
 
-  // ---- parallel scheduling (zeros for serial runs) ----
+  // ---- parallel scheduling (AtpgResult::parallel; zero when serial) ----
   std::uint64_t dispatched = 0;
   std::uint64_t committed = 0;
   std::uint64_t wasted = 0;
@@ -99,13 +98,14 @@ struct ReportOptions {
   std::uint64_t seed = 0;
   /// < 0 → take AtpgResult::wall_seconds (stamped by the engines).
   double wall_seconds = -1.0;
-  const fault::ParallelStats* parallel = nullptr;  ///< optional
-  const MetricsSnapshot* metrics = nullptr;        ///< optional
+  const MetricsSnapshot* metrics = nullptr;  ///< optional
 };
 
-/// Summarizes one ATPG run. Every classification/effort field is derived
-/// from `result` alone, so the report is exact whether or not the run was
-/// instrumented with a registry or sink.
+/// Summarizes one ATPG run. Every classification/effort field, and the
+/// scheduling counters (AtpgResult::parallel), is derived from `result`
+/// alone, so the report is exact whether or not the run was instrumented
+/// with a registry or sink. A run with pool workers reports their count
+/// as `threads` when options.threads is left at 1.
 RunReport build_run_report(const net::Network& net,
                            const fault::AtpgResult& result,
                            const ReportOptions& options = {});

@@ -345,14 +345,11 @@ SolveStatus Solver::solve(std::span<const Lit> assumptions) {
     if (a.var() >= assign_.size())
       throw std::invalid_argument("solve: assumption variable out of range");
 
-  // Budget plumbing: the conflict cap is the tighter of the config's and
-  // the budget's; deadline/cancellation are polled every
+  // Budget plumbing: deadline/cancellation are polled every
   // budget_poll_interval propagations (an atomic load + one clock read, so
   // the poll is invisible to the search unless it fires).
   const Budget* budget = config_.budget;
-  std::uint64_t conflict_cap = config_.max_conflicts;
-  if (budget != nullptr && budget->max_conflicts < conflict_cap)
-    conflict_cap = budget->max_conflicts;
+  const std::uint64_t conflict_cap = config_.max_conflicts;
   std::uint64_t next_poll = Budget::kUnlimited;
   if (budget != nullptr) {
     const StopReason r = budget->poll();
@@ -384,11 +381,6 @@ SolveStatus Solver::solve(std::span<const Lit> assumptions) {
                               iterations >= next_poll_iteration)) {
       next_poll = stats_.propagations + config_.budget_poll_interval;
       next_poll_iteration = iterations + config_.budget_poll_interval;
-      if (stats_.propagations - query_base_.propagations >=
-          budget->max_propagations) {
-        stats_.stop_reason = StopReason::kPropagationLimit;
-        return SolveStatus::kUnknown;
-      }
       const StopReason r = budget->poll();
       if (r != StopReason::kNone) {
         stats_.stop_reason = r;

@@ -75,11 +75,10 @@ struct SolverConfig {
   /// conflicts on earlier queries still gets the full cap on the next one
   /// (identical to the old cumulative reading for one-shot solvers).
   std::uint64_t max_conflicts = std::uint64_t(-1);
-  /// Optional external resource budget (deadline, hard effort caps,
-  /// cooperative cancellation). Not owned; must outlive every solve()
-  /// call. The solver honors min(max_conflicts, budget->max_conflicts)
-  /// and polls the asynchronous conditions (deadline, cancel) every
-  /// budget_poll_interval propagations, so solve() returns kUnknown
+  /// Optional external resource budget (deadline, cooperative
+  /// cancellation). Not owned; must outlive every solve() call. The
+  /// solver polls it every budget_poll_interval propagations (and loop
+  /// iterations), so solve() returns kUnknown
   /// promptly — within one poll interval — when the budget fires.
   /// Polling never influences the search itself: with a budget that never
   /// fires, results are bit-identical to running without one.
@@ -131,8 +130,8 @@ class Solver {
   /// globally UNSAT, a later call with different assumptions may be kSat.
   /// Learnt clauses are consequences of the clause database alone, so
   /// they persist soundly across calls; this is what makes repeated
-  /// queries against one encoding cheap (incremental SAT). Conflict and
-  /// propagation caps apply per call, and query_stats() reports the
+  /// queries against one encoding cheap (incremental SAT). The conflict
+  /// cap applies per call, and query_stats() reports the
   /// call's own effort — for a fresh solver's single call both reduce to
   /// the cumulative behavior, bit for bit.
   SolveStatus solve(std::span<const Lit> assumptions);
@@ -235,8 +234,8 @@ class Solver {
   std::vector<bool> model_;
   SolverStats stats_;
   /// Snapshot of stats_ at the current solve()'s entry: query_stats()
-  /// subtracts it, and the conflict/propagation caps compare against the
-  /// delta so every call gets a full budget of its own.
+  /// subtracts it, and the conflict cap compares against the delta so
+  /// every call gets a full budget of its own.
   SolverStats query_base_;
   /// The arena's end after the last problem clause / at the current
   /// solve()'s entry. A propagation whose reason lies in [problem_end_,

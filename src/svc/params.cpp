@@ -92,9 +92,11 @@ fault::AtpgOptions atpg_options_from_params(const obs::Json& params,
       param_u64(params, "escalation_rounds", opts.escalation_rounds));
   opts.drop_by_simulation =
       param_bool(params, "drop_by_simulation", opts.drop_by_simulation);
-  // Read by the job body, checked here so a cluster coordinator rejects it
-  // too: a parallel job starts a private pool of `threads` threads.
-  if (param_u64(params, "threads", 1) > kMaxThreads)
+  // Checked here so a cluster coordinator rejects it too: a parallel job
+  // starts a private pool of `threads` threads.
+  opts.threads = static_cast<std::size_t>(
+      param_u64(params, "threads", opts.threads));
+  if (opts.threads > kMaxThreads)
     throw ProtocolError("param \"threads\" must be at most " +
                         std::to_string(kMaxThreads));
   if (const obs::Json* engine = params.find("engine")) {

@@ -30,7 +30,7 @@ bool param_bool(const obs::Json& params, const char* key, bool fallback);
 std::string param_string_required(const obs::Json& params, const char* key);
 
 /// Builds the engine options a `run_atpg` request describes: seed,
-/// random_blocks, max_conflicts, escalation_rounds, engine,
+/// random_blocks, max_conflicts, escalation_rounds, engine, threads,
 /// drop_by_simulation, and the optional shard window — `fault_range`
 /// ([lo,hi) pair over the collapsed fault list) or `fault_ids` (strictly
 /// increasing index array). An empty window, in either form, is a bad

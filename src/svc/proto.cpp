@@ -218,8 +218,7 @@ fault::SolveEngine parse_solve_engine(const std::string& name) {
 
 StopReason parse_stop_reason(const std::string& name) {
   for (const StopReason r :
-       {StopReason::kNone, StopReason::kConflictLimit,
-        StopReason::kPropagationLimit, StopReason::kDeadline,
+       {StopReason::kNone, StopReason::kConflictLimit, StopReason::kDeadline,
         StopReason::kCancelled})
     if (name == to_string(r)) return r;
   throw ProtocolError("unknown stop reason \"" + name + "\"");

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "fault/fsim.hpp"
-#include "fault/parallel_atpg.hpp"
 #include "fault/tegus.hpp"
 #include "netlist/bench_io.hpp"
 #include "obs/report.hpp"
@@ -90,36 +89,24 @@ obs::Json run_atpg_request(std::uint64_t job, const CircuitEntry& circuit,
   // cluster == single-daemon determinism contract.
   fault::AtpgOptions opts = atpg_options_from_params(params, circuit);
   opts.budget = &budget;
-  if (opts.engine == fault::AtpgEngine::kIncremental) {
+  const bool incremental = opts.engine == fault::AtpgEngine::kIncremental;
+  if (incremental) {
     metrics.counter("svc.jobs.incremental").add(1);
     opts.prebuilt_miter = registry.shared_miter(circuit);
   }
-  const std::size_t threads =
-      static_cast<std::size_t>(param_u64(params, "threads", 1));
   const bool raw_outcomes = param_bool(params, "raw_outcomes", false);
 
   Timer timer;
-  fault::AtpgResult result;
-  fault::ParallelStats pstats;
-  const bool parallel = threads > 1;
-  if (parallel) {
-    fault::ParallelAtpgOptions popts;
-    popts.base = opts;
-    popts.num_threads = threads;
-    result = fault::run_atpg_parallel(circuit.net, popts, &pstats);
-  } else {
-    result = fault::run_atpg(circuit.net, opts);
-  }
+  const fault::AtpgResult result = fault::run_atpg(circuit.net, opts);
 
   obs::ReportOptions ropts;
   ropts.label = "svc/" + circuit.key;
-  const bool incremental = opts.engine == fault::AtpgEngine::kIncremental;
+  const bool parallel = opts.threads > 1;
   ropts.engine = incremental ? (parallel ? "parallel-incremental"
                                          : "incremental")
                              : (parallel ? "parallel" : "serial");
-  ropts.threads = parallel ? threads : 1;
+  ropts.threads = parallel ? opts.threads : 1;
   ropts.seed = opts.seed;
-  if (parallel) ropts.parallel = &pstats;
   return atpg_result_json(job, circuit, result, opts.fault_subset, ropts,
                           budget.poll(), raw_outcomes, timer);
 }
@@ -144,6 +131,7 @@ obs::Json atpg_result_json(std::uint64_t job, const CircuitEntry& circuit,
     pruned.num_escalated = result.num_escalated;
     pruned.interrupted = result.interrupted;
     pruned.wall_seconds = result.wall_seconds;
+    pruned.parallel = result.parallel;
     view = &pruned;
   }
   const obs::RunReport run_report =

@@ -6,7 +6,6 @@ const char* to_string(StopReason reason) {
   switch (reason) {
     case StopReason::kNone: return "none";
     case StopReason::kConflictLimit: return "conflict-limit";
-    case StopReason::kPropagationLimit: return "propagation-limit";
     case StopReason::kDeadline: return "deadline";
     case StopReason::kCancelled: return "cancelled";
   }

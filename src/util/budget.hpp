@@ -1,21 +1,21 @@
 // Resource budgets and cooperative cancellation.
 //
-// A Budget bundles the three ways a long-running solve is allowed to stop
-// early: hard caps on solver effort (conflicts / propagations), a
-// wall-clock deadline, and an explicitly requested cancellation. It is the
+// A Budget bundles the two ways a long-running run is allowed to stop
+// early: a wall-clock deadline and an explicitly requested cancellation
+// (the per-solve effort cap is SolverConfig::max_conflicts). It is the
 // graceful-degradation substrate for the ATPG engines: the paper's thesis
 // is that ATPG-SAT is *empirically* easy, but a production engine must
 // survive the instances that are not — by giving up cleanly, saying why,
 // and leaving a partial-but-consistent result instead of hanging.
 //
 // The design is cooperative, not preemptive: a budget never interrupts
-// anything by itself. Consumers (sat::Solver, fault::run_atpg*) poll it
+// anything by itself. Consumers (sat::Solver, fault::run_atpg) poll it
 // from their inner loops — an atomic load plus, only when a deadline is
 // armed, one steady_clock read — and unwind themselves when it fires.
 //
 // Thread-safe: cancel()/cancelled()/poll() may race freely across threads;
-// cancellation is sticky. The caps and the deadline are plain configuration
-// — set them before sharing the budget, never while a consumer is polling.
+// cancellation is sticky. The deadline is plain configuration — set it
+// before sharing the budget, never while a consumer is polling.
 // A Budget is shared by `const Budget*` and is deliberately non-copyable:
 // the cancellation token must stay one object so every holder observes the
 // same cancel().
@@ -33,14 +33,13 @@ namespace cwatpg {
 /// budget condition fired before it did.
 enum class StopReason : std::uint8_t {
   kNone = 0,
-  kConflictLimit,     ///< conflict cap (SolverConfig or Budget) exhausted
-  kPropagationLimit,  ///< Budget::max_propagations exhausted
-  kDeadline,          ///< wall-clock deadline passed
-  kCancelled,         ///< Budget::cancel() was called
+  kConflictLimit,  ///< SolverConfig::max_conflicts exhausted
+  kDeadline,       ///< wall-clock deadline passed
+  kCancelled,      ///< Budget::cancel() was called
 };
 
-/// "none" / "conflict-limit" / "propagation-limit" / "deadline" /
-/// "cancelled" — for logs and bench tables.
+/// "none" / "conflict-limit" / "deadline" / "cancelled" — for logs, bench
+/// tables and the run report's stop_reasons keys.
 const char* to_string(StopReason reason);
 
 class Budget {
@@ -52,14 +51,6 @@ class Budget {
   Budget() = default;
   Budget(const Budget&) = delete;
   Budget& operator=(const Budget&) = delete;
-
-  /// Hard cap on CDCL conflicts per solve. Unlike SolverConfig::
-  /// max_conflicts (which the escalation ladder grows per retry), a budget
-  /// cap is a ceiling no retry may exceed; the solver honors the smaller
-  /// of the two.
-  std::uint64_t max_conflicts = kUnlimited;
-  /// Hard cap on CDCL propagations per solve.
-  std::uint64_t max_propagations = kUnlimited;
 
   /// Arms the deadline `seconds` of wall-clock from now.
   void set_deadline_after(double seconds);
@@ -79,12 +70,11 @@ class Budget {
     return cancelled_.load(std::memory_order_acquire);
   }
 
-  /// Polls the asynchronous stop conditions — cancellation first (it is
-  /// cheaper and the stronger signal), then the deadline. The effort caps
-  /// are NOT reported here: they compare against counters only the
-  /// consumer owns (see sat::Solver). Every poll also bumps the progress
-  /// counter: a consumer that keeps polling is by definition alive, which
-  /// is the liveness signal the service's job watchdog samples.
+  /// Polls the stop conditions — cancellation first (it is cheaper and
+  /// the stronger signal), then the deadline. Every poll also bumps the
+  /// progress counter: a consumer that keeps polling is by definition
+  /// alive, which is the liveness signal the service's job watchdog
+  /// samples.
   StopReason poll() const {
     progress_.fetch_add(1, std::memory_order_relaxed);
     if (cancelled()) return StopReason::kCancelled;

@@ -1,11 +1,12 @@
 // FIFO thread pool.
 //
-// Substrate for the fault-parallel ATPG engine (fault/parallel_atpg) and
-// any future data-parallel kernel (suite sweeps, multi-start partitioning).
-// Every worker pops one shared, mutex-guarded queue in submission order, so
-// the task submitted first starts first. The parallel engine relies on
-// that: it submits solves in commit order, and the solve the commit
-// frontier waits on is the oldest one queued. Which worker runs a task
+// Substrate for the fault-parallel ATPG engine (fault::run_atpg with
+// AtpgOptions::threads > 1, which builds one pool per run) and any future
+// data-parallel kernel (suite sweeps, multi-start partitioning). Every
+// worker pops one shared, mutex-guarded queue in submission order, so the
+// task submitted first starts first. The parallel engine relies on that:
+// it submits solves in commit order, and the solve the commit frontier
+// waits on is the oldest one queued. Which worker runs a task
 // never changes an observable result, because tasks communicate through
 // their own synchronization.
 //
@@ -37,8 +38,8 @@ class ThreadPool {
   /// Later exceptions from the same drain are dropped, and an exception
   /// still pending when the pool is destroyed is discarded (a destructor
   /// cannot throw). Tasks that must not lose any error should still ship a
-  /// std::exception_ptr through their own channel —
-  /// fault::run_atpg_parallel shows the pattern.
+  /// std::exception_ptr through their own channel — fault::run_atpg's
+  /// speculative solves show the pattern.
   using Task = std::function<void()>;
 
   /// Sentinel returned by worker_index() on non-pool threads.

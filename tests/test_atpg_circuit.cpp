@@ -257,6 +257,8 @@ TEST(AtpgEmitter, EmitsTheReferenceInstanceForOutputPinFaults) {
   for (const net::NodeId po : n.outputs()) {
     for (const bool v : {false, true}) {
       expect_emits_reference(emitter, n, {po, 0, v});
+      // The marker's own stem fault is built as that branch fault.
+      expect_emits_reference(emitter, n, {po, StuckAtFault::kStem, v});
       // The same net's stem fault on the driver, for contrast.
       expect_emits_reference(emitter, n,
                              {n.fanins(po)[0], StuckAtFault::kStem, v});

@@ -1,14 +1,13 @@
 // Budgets, cooperative cancellation and the abort-escalation ladder:
 // Budget unit behaviour, Solver stop_reason reporting, and the run-level
 // guarantees (partial-but-consistent results under a deadline, ladder
-// recovery of aborted faults, serial/parallel agreement).
+// recovery of aborted faults, agreement at any thread count).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cmath>
 #include <thread>
 
-#include "fault/parallel_atpg.hpp"
 #include "fault/tegus.hpp"
 #include "gen/structured.hpp"
 #include "gen/trees.hpp"
@@ -24,8 +23,6 @@ namespace {
 
 TEST(Budget, DefaultsAreUnlimited) {
   Budget b;
-  EXPECT_EQ(b.max_conflicts, Budget::kUnlimited);
-  EXPECT_EQ(b.max_propagations, Budget::kUnlimited);
   EXPECT_FALSE(b.has_deadline());
   EXPECT_FALSE(b.past_deadline());
   EXPECT_FALSE(b.cancelled());
@@ -88,7 +85,6 @@ TEST(Budget, SaturatingMul) {
 TEST(Budget, StopReasonNames) {
   EXPECT_STREQ(to_string(StopReason::kNone), "none");
   EXPECT_STREQ(to_string(StopReason::kConflictLimit), "conflict-limit");
-  EXPECT_STREQ(to_string(StopReason::kPropagationLimit), "propagation-limit");
   EXPECT_STREQ(to_string(StopReason::kDeadline), "deadline");
   EXPECT_STREQ(to_string(StopReason::kCancelled), "cancelled");
 }
@@ -122,28 +118,6 @@ TEST(SolverBudget, ConflictCapReturnsUnknownAndSaysWhy) {
   EXPECT_EQ(solver.solve(), sat::SolveStatus::kUnknown);
   EXPECT_EQ(solver.stats().stop_reason, StopReason::kConflictLimit);
   EXPECT_GE(solver.stats().conflicts, 1u);
-}
-
-TEST(SolverBudget, BudgetConflictCapIsAHardCeiling) {
-  Budget budget;
-  budget.max_conflicts = 1;
-  sat::SolverConfig config;  // solver's own cap stays unlimited
-  config.budget = &budget;
-  sat::Solver solver(pigeonhole(5, 4), config);
-  EXPECT_EQ(solver.solve(), sat::SolveStatus::kUnknown);
-  EXPECT_EQ(solver.stats().stop_reason, StopReason::kConflictLimit);
-}
-
-TEST(SolverBudget, PropagationCapFires) {
-  Budget budget;
-  budget.max_propagations = 1;
-  sat::SolverConfig config;
-  config.budget = &budget;
-  config.budget_poll_interval = 1;
-  sat::Solver solver(pigeonhole(5, 4), config);
-  EXPECT_EQ(solver.solve(), sat::SolveStatus::kUnknown);
-  EXPECT_EQ(solver.stats().stop_reason, StopReason::kPropagationLimit);
-  EXPECT_GE(solver.stats().propagations, 1u);
 }
 
 TEST(SolverBudget, CancelledBudgetStopsBeforeSearching) {
@@ -383,10 +357,10 @@ TEST(RunBudget, GenerousBudgetLeavesSerialAndParallelIdentical) {
 
   Budget budget;
   budget.set_deadline_after(3600.0);
-  fault::ParallelAtpgOptions popts;
-  popts.base.budget = &budget;
-  popts.num_threads = 2;
-  const fault::AtpgResult budgeted = fault::run_atpg_parallel(n, popts);
+  fault::AtpgOptions opts;
+  opts.budget = &budget;
+  opts.threads = 2;
+  const fault::AtpgResult budgeted = fault::run_atpg(n, opts);
 
   ASSERT_EQ(plain.outcomes.size(), budgeted.outcomes.size());
   for (std::size_t i = 0; i < plain.outcomes.size(); ++i) {
@@ -406,13 +380,13 @@ TEST(RunBudget, ParallelTightDeadlineCommitsAConsistentPrefix) {
   const net::Network n = net::decompose(gen::array_multiplier(8));
   Budget budget;
   budget.set_deadline_after(0.03);
-  fault::ParallelAtpgOptions popts;
-  popts.base.budget = &budget;
-  popts.base.random_blocks = 0;  // all faults through SAT: far past the deadline
-  popts.num_threads = 4;
+  fault::AtpgOptions opts;
+  opts.budget = &budget;
+  opts.random_blocks = 0;  // all faults through SAT: far past the deadline
+  opts.threads = 4;
 
   const auto t0 = std::chrono::steady_clock::now();
-  const fault::AtpgResult r = fault::run_atpg_parallel(n, popts);
+  const fault::AtpgResult r = fault::run_atpg(n, opts);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "fault/incremental.hpp"
-#include "fault/parallel_atpg.hpp"
 #include "fault/tegus.hpp"
 #include "gen/hutton.hpp"
 #include "gen/structured.hpp"
@@ -393,10 +392,9 @@ TEST(IncrementalEngine, ClassifiesLikePerFaultOnSuiteMembers) {
     SCOPED_TRACE(n.name());
     expect_same_classification(n, ref, inc);
     // And at N threads, against the same serial reference.
-    ParallelAtpgOptions popts;
-    popts.base = incremental;
-    popts.num_threads = 3;
-    expect_same_classification(n, ref, run_atpg_parallel(n, popts));
+    AtpgOptions threaded = incremental;
+    threaded.threads = 3;
+    expect_same_classification(n, ref, run_atpg(n, threaded));
   }
 }
 
@@ -460,21 +458,22 @@ void expect_byte_identical(const AtpgResult& a, const AtpgResult& b) {
 }
 
 TEST(IncrementalEngine, SerialVsParallelByteIdenticalOnC17) {
-  // Both engines run every incremental query in one session on the
-  // pipeline thread, so at any thread count the session sees the serial
-  // query history and results (stats included) match byte for byte.
+  // Every incremental query runs in one session on the pipeline thread,
+  // so at any thread count the session sees the serial query history and
+  // results (stats included) match byte for byte.
   const net::Network n = gen::c17();
   AtpgOptions base;
   base.engine = AtpgEngine::kIncremental;
   const AtpgResult serial = run_atpg(n, base);
   for (std::size_t threads : {1u, 2u, 4u}) {
-    ParallelAtpgOptions popts;
-    popts.base = base;
-    popts.num_threads = threads;
-    ParallelStats stats;
+    AtpgOptions opts = base;
+    opts.threads = threads;
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_byte_identical(serial, run_atpg_parallel(n, popts, &stats));
-    EXPECT_EQ(stats.dispatched, stats.committed + stats.wasted);
+    const AtpgResult r = run_atpg(n, opts);
+    expect_byte_identical(serial, r);
+    // The pool only shards the random phase: nothing is dispatched.
+    EXPECT_EQ(r.parallel.dispatched, 0u);
+    EXPECT_EQ(r.parallel.workers.size(), threads > 1 ? threads : 0u);
   }
 }
 
@@ -485,10 +484,12 @@ TEST(IncrementalEngine, SerialVsParallelByteIdenticalOnSuiteMember) {
   AtpgOptions base;
   base.engine = AtpgEngine::kIncremental;
   const AtpgResult serial = run_atpg(n, base);
-  ParallelAtpgOptions popts;
-  popts.base = base;
-  popts.num_threads = 4;
-  expect_byte_identical(serial, run_atpg_parallel(n, popts));
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    AtpgOptions opts = base;
+    opts.threads = threads;
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_byte_identical(serial, run_atpg(n, opts));
+  }
 }
 
 TEST(IncrementalEngine, PrebuiltMiterGivesIdenticalRun) {

@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "fault/parallel_atpg.hpp"
 #include "fault/tegus.hpp"
 #include "gen/structured.hpp"
 #include "netlist/decompose.hpp"
@@ -335,13 +334,13 @@ TEST(EngineObservability, RegistryAndTraceFillWithoutChangingResults) {
 TEST(EngineObservability, ParallelEngineRecordsSchedulingMetrics) {
   const net::Network n = net::decompose(gen::array_multiplier(4));
   obs::MetricsRegistry reg;
-  fault::ParallelAtpgOptions popts;
-  popts.base.metrics = &reg;
-  popts.base.random_blocks = 0;
-  popts.num_threads = 2;
-  fault::ParallelStats stats;
-  const fault::AtpgResult r = fault::run_atpg_parallel(n, popts, &stats);
+  fault::AtpgOptions opts;
+  opts.metrics = &reg;
+  opts.random_blocks = 0;
+  opts.threads = 2;
+  const fault::AtpgResult r = fault::run_atpg(n, opts);
   ASSERT_GT(r.outcomes.size(), 0u);
+  const fault::ParallelStats& stats = r.parallel;
 
   EXPECT_EQ(stats.workers.size(), 2u);
   EXPECT_GE(stats.dispatched, stats.committed);
@@ -407,9 +406,9 @@ TEST(RunReport, RoundTripsAndTotalsMatchAtpgResult) {
     EXPECT_TRUE(report.status_counts.count(key)) << key;
   for (const char* key : {"none", "sat", "sat-retry", "podem"})
     EXPECT_TRUE(report.engine_counts.count(key)) << key;
-  for (const char* key : {"none", "conflict-limit", "propagation-limit",
-                          "deadline", "cancelled"})
+  for (const char* key : {"none", "conflict-limit", "deadline", "cancelled"})
     EXPECT_TRUE(report.stop_reasons.count(key)) << key;
+  EXPECT_EQ(report.stop_reasons.size(), 4u);
 
   // ---- JSON round trip through text ----
   const obs::Json dumped = obs::Json::parse(report.to_json().dump(2));
@@ -596,7 +595,6 @@ TEST(RunReport, SerialAndParallelAgreeOnEveryCompletedFault) {
   // non-empty classified prefix; the agreement contract itself is
   // deadline-independent.
   fault::AtpgResult serial, parallel;
-  fault::ParallelStats pstats;
   std::size_t compared = 0;
   for (double deadline = 0.05; deadline <= 16.0; deadline *= 4.0) {
     Budget serial_budget;
@@ -607,12 +605,10 @@ TEST(RunReport, SerialAndParallelAgreeOnEveryCompletedFault) {
 
     Budget parallel_budget;
     parallel_budget.set_deadline_after(deadline);
-    fault::ParallelAtpgOptions popts;
-    popts.base = base;
-    popts.base.budget = &parallel_budget;
-    popts.num_threads = 4;
-    pstats = {};
-    parallel = fault::run_atpg_parallel(n, popts, &pstats);
+    fault::AtpgOptions popts = base;
+    popts.budget = &parallel_budget;
+    popts.threads = 4;
+    parallel = fault::run_atpg(n, popts);
 
     ASSERT_EQ(serial.outcomes.size(), parallel.outcomes.size());
     compared = 0;
@@ -641,7 +637,6 @@ TEST(RunReport, SerialAndParallelAgreeOnEveryCompletedFault) {
   obs::ReportOptions propts;
   propts.engine = "parallel";
   propts.threads = 4;
-  propts.parallel = &pstats;
   const obs::RunReport sr = obs::build_run_report(n, serial);
   const obs::RunReport pr = obs::build_run_report(n, parallel, propts);
   for (const obs::RunReport* rep : {&sr, &pr}) {
@@ -651,8 +646,8 @@ TEST(RunReport, SerialAndParallelAgreeOnEveryCompletedFault) {
   }
   EXPECT_EQ(sr.status_counts.at("undetermined"), serial.num_undetermined);
   EXPECT_EQ(pr.status_counts.at("undetermined"), parallel.num_undetermined);
-  EXPECT_EQ(pr.dispatched, pstats.dispatched);
-  EXPECT_EQ(pr.committed, pstats.committed);
+  EXPECT_EQ(pr.dispatched, parallel.parallel.dispatched);
+  EXPECT_EQ(pr.committed, parallel.parallel.committed);
   EXPECT_EQ(pr.workers.size(), 4u);
   const obs::RunReport pr_back =
       obs::RunReport::from_json(obs::Json::parse(pr.to_json().dump()));
@@ -663,13 +658,11 @@ TEST(RunReport, FromJsonIgnoresWorkerStealsOfOlderReports) {
   // Reports written while the pool stole work carry a per-worker "steals"
   // count. They must still parse, to the same report without it.
   const net::Network n = net::decompose(gen::array_multiplier(3));
-  fault::ParallelAtpgOptions popts;
-  popts.num_threads = 2;
-  fault::ParallelStats stats;
-  const fault::AtpgResult r = fault::run_atpg_parallel(n, popts, &stats);
+  fault::AtpgOptions opts;
+  opts.threads = 2;
+  const fault::AtpgResult r = fault::run_atpg(n, opts);
   obs::ReportOptions ropts;
   ropts.engine = "parallel";
-  ropts.parallel = &stats;
   const obs::RunReport report = obs::build_run_report(n, r, ropts);
 
   obs::Json old = obs::Json::parse(report.to_json().dump());

@@ -714,7 +714,9 @@ TEST(SvcServer, ServedRunAtpgMatchesDirectCallByteForByte) {
   direct_opts.seed = 1234;
   const fault::AtpgResult direct = fault::run_atpg(round_tripped, direct_opts);
 
-  for (std::uint64_t threads : {std::uint64_t(1), std::uint64_t(3)}) {
+  // threads 0 and 1 both run serially.
+  for (std::uint64_t threads :
+       {std::uint64_t(0), std::uint64_t(1), std::uint64_t(3)}) {
     obs::Json params = obs::Json::object();
     params["circuit"] = key;
     params["seed"] = std::uint64_t(1234);
@@ -724,6 +726,9 @@ TEST(SvcServer, ServedRunAtpgMatchesDirectCallByteForByte) {
     const obs::Json& result = resp.at("result");
     EXPECT_EQ(result.at("engine").as_string(),
               threads > 1 ? "parallel" : "serial");
+    EXPECT_EQ(result.at("threads").as_u64(), threads > 1 ? threads : 1u);
+    EXPECT_EQ(result.at("run_report").find("parallel") != nullptr,
+              threads > 1);
     EXPECT_FALSE(result.at("interrupted").as_bool());
     EXPECT_EQ(result.at("faults").as_u64(), direct.outcomes.size());
     EXPECT_EQ(result.at("num_detected").as_u64(), direct.num_detected);
@@ -756,15 +761,9 @@ TEST(SvcServer, ServedIncrementalMatchesDirectCallByteForByte) {
   direct_opts.engine = fault::AtpgEngine::kIncremental;
 
   for (std::uint64_t threads : {std::uint64_t(1), std::uint64_t(3)}) {
-    fault::AtpgResult direct;
-    if (threads > 1) {
-      fault::ParallelAtpgOptions popts;
-      popts.base = direct_opts;
-      popts.num_threads = threads;
-      direct = fault::run_atpg_parallel(round_tripped, popts);
-    } else {
-      direct = fault::run_atpg(round_tripped, direct_opts);
-    }
+    direct_opts.threads = static_cast<std::size_t>(threads);
+    const fault::AtpgResult direct =
+        fault::run_atpg(round_tripped, direct_opts);
 
     obs::Json params = obs::Json::object();
     params["circuit"] = key;

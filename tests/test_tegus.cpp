@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "fault/podem.hpp"
 #include "fault/tegus.hpp"
 #include "gen/hutton.hpp"
 #include "gen/structured.hpp"
@@ -47,6 +48,33 @@ TEST(Tegus, UnreachableFaultFlagged) {
   const FaultOutcome outcome =
       generate_test(n, {dangle, StuckAtFault::kStem, true}, {}, test);
   EXPECT_EQ(outcome.status, FaultStatus::kUnreachable);
+}
+
+TEST(Tegus, StemFaultOnAnOutputMarkerIsClassified) {
+  // all_faults never lists a stem fault on a kOutput marker, but a direct
+  // caller may ask for one: it sticks the output's observed value, as the
+  // branch fault on the marker's pin 0 does.
+  const net::Network n = gen::c17();
+  ASSERT_FALSE(n.outputs().empty());
+  for (const net::NodeId po : n.outputs()) {
+    for (const bool stuck : {false, true}) {
+      const StuckAtFault fault{po, StuckAtFault::kStem, stuck};
+      SCOPED_TRACE(to_string(n, fault));
+      Pattern test;
+      const FaultOutcome outcome = generate_test(n, fault, {}, test);
+      EXPECT_EQ(outcome.fault, fault);
+      const PodemResult structural = podem(n, fault);
+      ASSERT_NE(structural.status, PodemStatus::kAborted);
+      EXPECT_EQ(outcome.status, structural.status == PodemStatus::kDetected
+                                    ? FaultStatus::kDetected
+                                    : FaultStatus::kUntestable);
+      if (outcome.status != FaultStatus::kDetected) continue;
+      const std::vector<bool> hit = fault_simulate(
+          n, std::span<const StuckAtFault>(&fault, 1),
+          std::span<const Pattern>(&test, 1));
+      EXPECT_TRUE(hit[0]);
+    }
+  }
 }
 
 TEST(Tegus, FullC17RunCompleteCoverage) {
