@@ -80,6 +80,22 @@ void BM_FaultSimulate64(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultSimulate64)->Arg(200)->Arg(1000);
 
+// The TEGUS commit step's shape: one new test against the whole
+// collapsed fault list.
+void BM_FaultSimulateCommit(benchmark::State& state) {
+  const net::Network n = test_circuit(static_cast<std::size_t>(state.range(0)));
+  const auto faults = fault::collapsed_fault_list(n);
+  Rng rng(7);
+  std::vector<fault::Pattern> patterns(1, fault::Pattern(n.inputs().size()));
+  for (auto&& b : patterns[0]) b = rng.chance(0.5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fault::fault_simulate(n, faults, patterns));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(faults.size()));
+}
+BENCHMARK(BM_FaultSimulateCommit)->Arg(1000)->Arg(4000);
+
 void BM_MultilevelBisect(benchmark::State& state) {
   const net::Network n = test_circuit(static_cast<std::size_t>(state.range(0)));
   const net::Hypergraph hg = net::to_hypergraph(n);

@@ -1,20 +1,27 @@
-// Parallel-pattern single-fault-propagation fault simulator.
+// Parallel-pattern, event-driven fault simulator.
 //
 // Substrate of the TEGUS-style ATPG loop's commit step: each found test is
 // simulated once, against its own fault and the still-undetected faults,
 // which verifies it and drops the faults it detects so their SAT instances
-// are never built. Patterns run 64 at a time; per fault only the
-// transitive fanout of the fault site is re-simulated against the good
-// frame. fault_simulate and detection_matrix share that one loop, whose
-// scratch (one TFO list per fault site, one faulty frame) is built once
-// per call.
+// are never built. fault_simulate and detection_matrix share one loop that
+// packs patterns 64 to a block and runs three steps per block:
+//   1. one good-circuit simulation;
+//   2. per fault, an excitation check at the site (an unexcited fault
+//      costs nothing more), then the fault effect walked up the fault's
+//      fanout-free chain, one gate per step, until it dies, reaches a
+//      kOutput, or reaches its region's stem (a node with more than one
+//      fanouts() entry);
+//   3. per stem reached, its observability: the lanes on which flipping
+//      the stem reaches some kOutput, propagated event-driven in node-id
+//      (topological) order and computed once per block. A fault's detected
+//      lanes are its effect at the stem AND the stem's observability.
 //
-// Thread-safe: all functions here are pure — they read the (immutable
-// after construction) Network and allocate every scratch buffer locally —
-// so concurrent calls on any mix of arguments are safe. Per-fault
-// detection is independent of every other fault, which is why the
-// fault-parallel engine may shard a fault list across workers and
-// concatenate the results without changing them.
+// Thread-safe: the Network is only read, and the scratch (faulty values,
+// epoch stamps, event heap, per-block stem memo) is one thread_local per
+// thread, reused across calls and circuits, so concurrent calls on any mix
+// of arguments are safe. Per-fault detection is independent of every
+// other fault, which is why a fault list may be split across callers and
+// the results concatenated without changing them.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +44,11 @@ struct FsimStats {
   std::uint64_t calls = 0;         ///< fault_simulate invocations
   std::uint64_t faults = 0;        ///< fault-list entries examined
   std::uint64_t patterns = 0;      ///< patterns simulated
-  std::uint64_t resims = 0;        ///< (fault, 64-pattern block) resims
-  std::uint64_t node_evals = 0;    ///< TFO gate evaluations re-simulated
+  std::uint64_t resims = 0;        ///< (fault, 64-pattern block) pairs examined
+  /// Gates the faulty machine evaluated: branch-fault sites, fanout-free
+  /// chain steps and stem propagation (a stem fault's site is forced, not
+  /// evaluated).
+  std::uint64_t node_evals = 0;
   std::uint64_t detected = 0;      ///< faults reported detected
 
   FsimStats& operator+=(const FsimStats& other) {

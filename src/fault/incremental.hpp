@@ -189,8 +189,7 @@ namespace detail {
 /// precomputes which faults reach an output, and runs per-fault queries
 /// with the in-miter conflict-cap retry rung. One session answers every
 /// query, in work-list order, on the pipeline thread at any
-/// AtpgOptions::threads; a pool, when there is one, only shards the random
-/// phase's fault simulation.
+/// AtpgOptions::threads; a pool, when there is one, runs none of its work.
 ///
 /// Determinism contract: the session queries every work-list position in
 /// order, including positions the pipeline dropped and will never ask

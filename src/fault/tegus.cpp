@@ -535,10 +535,6 @@ class SerialProvider final : public detail::SolveProvider {
 /// frontier. Larger hides commit latency; smaller bounds wasted solves
 /// when fault dropping is hot.
 constexpr std::size_t kLookahead = 4;
-/// Minimum faults per shard when fault simulation runs on the pool (the
-/// multi-pattern random phase); single-pattern commit simulations stay on
-/// the pipeline thread, where they are cheaper than a dispatch.
-constexpr std::size_t kSimGrain = 512;
 
 /// One speculative solve a pool worker hands to the pipeline thread. One
 /// worker calls run() once; the pipeline thread calls take() at most once,
@@ -708,38 +704,14 @@ AtpgResult run_atpg(const net::Network& netw, const AtpgOptions& options) {
     stats.workers.resize(pool->size());
   }
 
-  // With a pool, the random phase's multi-pattern simulation is sharded
-  // across it; single-pattern commit simulations stay on the pipeline
-  // thread, where they are cheaper than a round-trip dispatch. Per-fault
-  // detection is independent of sharding, so results equal
-  // fault_simulate's exactly.
   const detail::FsimMetrics fsim_metrics(options.metrics);
-  const auto simulate_range = [&netw, &fsim_metrics](
-                                  std::span<const StuckAtFault> faults,
-                                  std::span<const Pattern> patterns) {
-    // Counter handles are atomic, so shard tasks may record concurrently.
-    FsimStats fs;
-    std::vector<bool> detected = fault_simulate(
-        netw, faults, patterns, fsim_metrics.enabled() ? &fs : nullptr);
-    fsim_metrics.record(fs);
-    return detected;
-  };
   const detail::SimulateFn simulate =
-      [&pool, &simulate_range](std::span<const StuckAtFault> faults,
-                               std::span<const Pattern> patterns) {
-        if (!pool || patterns.size() < 64 || faults.size() < 2 * kSimGrain)
-          return simulate_range(faults, patterns);
-        std::vector<bool> detected(faults.size(), false);
-        const std::size_t chunks = (faults.size() + kSimGrain - 1) / kSimGrain;
-        std::vector<std::vector<bool>> shard(chunks);
-        pool->parallel_for(0, faults.size(), kSimGrain,
-                           [&](std::size_t lo, std::size_t hi) {
-                             shard[lo / kSimGrain] = simulate_range(
-                                 faults.subspan(lo, hi - lo), patterns);
-                           });
-        for (std::size_t c = 0; c < chunks; ++c)
-          for (std::size_t k = 0; k < shard[c].size(); ++k)
-            if (shard[c][k]) detected[c * kSimGrain + k] = true;
+      [&netw, &fsim_metrics](std::span<const StuckAtFault> faults,
+                             std::span<const Pattern> patterns) {
+        FsimStats fs;
+        std::vector<bool> detected = fault_simulate(
+            netw, faults, patterns, fsim_metrics.enabled() ? &fs : nullptr);
+        fsim_metrics.record(fs);
         return detected;
       };
 

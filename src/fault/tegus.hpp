@@ -180,8 +180,8 @@ struct AtpgOptions {
   /// Worker threads. 1 or less runs the serial engine on the calling
   /// thread, with no pool. N > 1 builds a private N-worker pool for the
   /// run: per-fault solves run speculatively ahead of the commit frontier
-  /// (kIncremental keeps its one session on the calling thread) and the
-  /// random phase's fault simulation is sharded. A pure scheduling choice:
+  /// (kIncremental keeps its one session on the calling thread). Fault
+  /// simulation stays on the calling thread. A pure scheduling choice:
   /// the result is byte-identical at any value, except for wall-clock
   /// fields and AtpgResult::parallel.
   std::size_t threads = 1;
@@ -361,9 +361,8 @@ class SolveProvider {
 sat::SolverConfig per_fault_solver_config(const AtpgOptions& options);
 
 /// Fault-simulation hook: same signature/semantics as fault_simulate with
-/// the network bound. With threads > 1, run_atpg shards the random phase's
-/// simulation across its pool; results must equal fault_simulate's
-/// (per-fault detection is independent, so sharding cannot change them).
+/// the network bound; results must equal fault_simulate's. run_atpg calls
+/// it on the pipeline thread at any thread count.
 using SimulateFn = std::function<std::vector<bool>(
     std::span<const StuckAtFault>, std::span<const Pattern>)>;
 

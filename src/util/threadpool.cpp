@@ -1,8 +1,6 @@
 #include "util/threadpool.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <memory>
 #include <utility>
 
 namespace cwatpg {
@@ -96,50 +94,6 @@ void ThreadPool::wait_idle() {
     lock.unlock();
     std::rethrow_exception(error);
   }
-}
-
-void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  assert(tls_worker.pool != this &&
-         "parallel_for() called from inside the pool");
-  if (begin >= end) return;
-  if (grain == 0) grain = 1;
-  const std::size_t count = end - begin;
-  if (size() <= 1 || count <= grain) {
-    body(begin, end);
-    return;
-  }
-
-  struct Latch {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::size_t remaining;
-    std::exception_ptr error;
-  };
-  auto latch = std::make_shared<Latch>();
-  const std::size_t chunks = (count + grain - 1) / grain;
-  latch->remaining = chunks;
-
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * grain;
-    const std::size_t hi = std::min(end, lo + grain);
-    submit([latch, lo, hi, &body] {
-      std::exception_ptr err;
-      try {
-        body(lo, hi);
-      } catch (...) {
-        err = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(latch->mutex);
-      if (err && !latch->error) latch->error = err;
-      if (--latch->remaining == 0) latch->cv.notify_all();
-    });
-  }
-
-  std::unique_lock<std::mutex> lock(latch->mutex);
-  latch->cv.wait(lock, [&] { return latch->remaining == 0; });
-  if (latch->error) std::rethrow_exception(latch->error);
 }
 
 }  // namespace cwatpg

@@ -11,11 +11,10 @@
 // their own synchronization.
 //
 // Thread-safe: submit() may be called concurrently from any thread,
-// including from inside a running task. wait_idle() and parallel_for()
-// must be called from OUTSIDE the pool (a worker blocking on the pool's
-// own completion would deadlock); this is asserted in debug builds. A
-// worker of ANOTHER pool is outside: a task may drive a private pool of
-// its own.
+// including from inside a running task. wait_idle() must be called from
+// OUTSIDE the pool (a worker blocking on the pool's own completion would
+// deadlock); this is asserted in debug builds. A worker of ANOTHER pool is
+// outside: a task may drive a private pool of its own.
 #pragma once
 
 #include <condition_variable>
@@ -34,8 +33,7 @@ class ThreadPool {
   /// A unit of work. A task may throw: the worker captures the exception
   /// (an escaping exception has no thread to propagate into) and the first
   /// one captured is rethrown by the next wait_idle() — the join/commit
-  /// point — matching what parallel_for() already does for its bodies.
-  /// Later exceptions from the same drain are dropped, and an exception
+  /// point. Later exceptions from the same drain are dropped, and an exception
   /// still pending when the pool is destroyed is discarded (a destructor
   /// cannot throw). Tasks that must not lose any error should still ship a
   /// std::exception_ptr through their own channel — fault::run_atpg's
@@ -71,14 +69,6 @@ class ThreadPool {
   /// Index of the calling thread in the pool that owns it, in [0, size())
   /// of that pool, or kNotAWorker on a thread no pool owns.
   static std::size_t worker_index();
-
-  /// Splits [begin, end) into chunks of at least `grain` iterations,
-  /// runs `body(lo, hi)` on the pool, and blocks until all chunks finish.
-  /// Runs inline when the range is small or the pool has one worker.
-  /// The first exception thrown by `body` is rethrown in the caller.
-  /// Must be called from outside the pool.
-  void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& body);
 
   /// Hardware concurrency with a floor of 1 (std::thread::hardware_
   /// concurrency() may legally return 0).

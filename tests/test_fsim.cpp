@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "fault/fsim.hpp"
 #include "gen/structured.hpp"
+#include "gen/suites.hpp"
 #include "gen/trees.hpp"
 #include "netlist/decompose.hpp"
 #include "util/rng.hpp"
@@ -165,6 +168,110 @@ TEST_P(FsimRandomCross, BlockSimMatchesScalarSim) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FsimRandomCross,
                          ::testing::Range<std::uint64_t>(1, 6));
+
+/// The whole faulty circuit re-simulated for one fault: a stem fault
+/// through net::simulate64_fault, a branch fault by a pass that feeds
+/// `stuck` to the one faulted input pin. Returns the lanes on which some
+/// kOutput differs from `good`.
+std::uint64_t resimulated_lanes(const net::Network& n, const StuckAtFault& f,
+                                std::span<const std::uint64_t> pi_words,
+                                const net::SimFrame& good) {
+  net::SimFrame bad;
+  if (f.is_stem()) {
+    bad = net::simulate64_fault(n, pi_words, f.node, f.stuck_value);
+  } else {
+    bad = good;
+    std::vector<std::uint64_t> ins;
+    for (net::NodeId id = 0; id < n.node_count(); ++id) {
+      const auto fanins = n.fanins(id);
+      if (fanins.empty()) continue;
+      ins.clear();
+      for (std::size_t p = 0; p < fanins.size(); ++p)
+        ins.push_back(id == f.node && static_cast<std::int32_t>(p) == f.pin
+                          ? (f.stuck_value ? ~0ULL : 0ULL)
+                          : bad[fanins[p]]);
+      bad[id] = n.type(id) == net::GateType::kOutput
+                    ? ins[0]
+                    : net::eval_gate_word(n.type(id), ins);
+    }
+  }
+  std::uint64_t lanes = 0;
+  for (const net::NodeId o : n.outputs()) lanes |= good[o] ^ bad[o];
+  return lanes;
+}
+
+/// x = AND(a, b) feeds y = NAND(x, x) on both pins, so x appears twice in
+/// fanouts(); c feeds p = XOR(c, c), whose output a flip of c cannot
+/// change but a stuck pin can; `dead` = NOR(x, c) has no fanout.
+net::Network shared_pin_circuit() {
+  net::Network n;
+  const auto a = n.add_input("a");
+  const auto b = n.add_input("b");
+  const auto c = n.add_input("c");
+  const auto x = n.add_gate(net::GateType::kAnd, {a, b}, "x");
+  const auto y = n.add_gate(net::GateType::kNand, {x, x}, "y");
+  const auto p = n.add_gate(net::GateType::kXor, {c, c}, "p");
+  n.add_gate(net::GateType::kNor, {x, c}, "dead");
+  n.add_output(n.add_gate(net::GateType::kOr, {y, p}, "q"), "oq");
+  n.add_output(x, "ox");
+  return n;
+}
+
+TEST(FsimOracle, DetectionMatrixMatchesFullFaultyResimulation) {
+  gen::SuiteOptions opts;
+  opts.scale = 0.1;
+  std::vector<net::Network> circuits = gen::iscas85_like_suite(opts);
+  for (net::Network& n : gen::mcnc_like_suite(opts))
+    circuits.push_back(std::move(n));
+  circuits.push_back(gen::c17());
+  circuits.push_back(shared_pin_circuit());
+  // Largest first, all on this thread: every smaller circuit runs on the
+  // thread's simulation scratch as a larger one left it.
+  std::stable_sort(circuits.begin(), circuits.end(),
+                   [](const net::Network& l, const net::Network& r) {
+                     return l.node_count() > r.node_count();
+                   });
+  cwatpg::Rng rng(24);
+  std::size_t pairs = 0;
+  for (const net::Network& n : circuits) {
+    // all_faults plus the stem faults it leaves out: those on nodes with
+    // no fanout (output markers, dangling gates).
+    std::vector<StuckAtFault> faults = all_faults(n);
+    for (net::NodeId id = 0; id < n.node_count(); ++id)
+      if (n.fanouts(id).empty())
+        for (const bool v : {false, true})
+          faults.push_back({id, StuckAtFault::kStem, v});
+    for (const std::size_t count : {1u, 130u}) {
+      std::vector<Pattern> patterns(count, Pattern(n.inputs().size()));
+      for (Pattern& p : patterns)
+        for (auto&& bit : p) bit = rng.chance(0.5);
+      const auto matrix = detection_matrix(n, faults, patterns);
+      const auto detected = fault_simulate(n, faults, patterns);
+      for (std::size_t base = 0; base < count; base += 64) {
+        const std::size_t lanes = std::min<std::size_t>(64, count - base);
+        const std::uint64_t mask = lanes == 64 ? ~0ULL : (1ULL << lanes) - 1;
+        std::vector<std::uint64_t> pi_words(n.inputs().size(), 0);
+        for (std::size_t lane = 0; lane < lanes; ++lane)
+          for (std::size_t i = 0; i < pi_words.size(); ++i)
+            if (patterns[base + lane][i]) pi_words[i] |= 1ULL << lane;
+        const net::SimFrame good = net::simulate64(n, pi_words);
+        for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+          ASSERT_EQ(matrix[fi][base / 64],
+                    resimulated_lanes(n, faults[fi], pi_words, good) & mask)
+              << n.name() << ": " << to_string(n, faults[fi]) << ", "
+              << count << " patterns, block " << base / 64;
+          ++pairs;
+        }
+      }
+      for (std::size_t fi = 0; fi < faults.size(); ++fi)
+        ASSERT_EQ(detected[fi],
+                  std::any_of(matrix[fi].begin(), matrix[fi].end(),
+                              [](std::uint64_t w) { return w != 0; }))
+            << n.name() << ": " << to_string(n, faults[fi]);
+    }
+  }
+  EXPECT_EQ(pairs, 49456u);
+}
 
 }  // namespace
 }  // namespace cwatpg::fault

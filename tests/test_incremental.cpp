@@ -471,7 +471,7 @@ TEST(IncrementalEngine, SerialVsParallelByteIdenticalOnC17) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const AtpgResult r = run_atpg(n, opts);
     expect_byte_identical(serial, r);
-    // The pool only shards the random phase: nothing is dispatched.
+    // The pool runs none of the session's work: nothing is dispatched.
     EXPECT_EQ(r.parallel.dispatched, 0u);
     EXPECT_EQ(r.parallel.workers.size(), threads > 1 ? threads : 0u);
   }
